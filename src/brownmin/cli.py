@@ -78,18 +78,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _level_cap(args) -> dict:
+    return {} if args.level_cap is None else {"level_cap": args.level_cap}
+
+
 def _simulate(args, parser) -> int:
-    if args.lam < 1.0:
-        parser.error(f"--lambda must be >= 1, got {args.lam}")
-    if args.steps < 2:
-        parser.error(f"--steps must be >= 2, got {args.steps}")
-    plan = ExperimentPlan(
-        lambdas=(args.lam,), n_grid=(args.steps,), p=2.0, replications=1,
-        master_seed=args.seed,
-        **({"level_cap": args.level_cap} if args.level_cap else {}),
-    )
+    try:
+        plan = ExperimentPlan(
+            lambdas=(args.lam,), n_grid=(args.steps,), p=2.0, replications=1,
+            master_seed=args.seed, **_level_cap(args),
+        )
+        config = MinimizerConfig(lam=args.lam, max_steps=args.steps, level_cap=plan.level_cap)
+    except ValueError as exc:
+        parser.error(str(exc))
     oracle = BrownianOracle(path_stream(plan, ADAPTIVE, 0), capacity=args.steps + 2)
-    config = MinimizerConfig(lam=args.lam, max_steps=args.steps, level_cap=plan.level_cap)
     state, traces = run(oracle, config)
     true_min = sample_true_min(state.skeleton, true_min_stream(plan, ADAPTIVE, 0))
     deltas = np.array([tr.m_n for tr in traces]) - true_min
@@ -98,13 +100,12 @@ def _simulate(args, parser) -> int:
 
 
 def _plan_from_args(args, parser, algorithm: str) -> ExperimentPlan:
-    lambdas = _parse_floats(args.lambdas)
-    n_grid = _parse_ints(args.n_grid)
     try:
         return ExperimentPlan(
-            lambdas=tuple(lambdas), n_grid=tuple(n_grid), p=args.p,
+            lambdas=tuple(_parse_floats(args.lambdas)),
+            n_grid=tuple(_parse_ints(args.n_grid)), p=args.p,
             replications=args.reps, master_seed=args.seed, algorithm=algorithm,
-            **({"level_cap": args.level_cap} if args.level_cap else {}),
+            **_level_cap(args),
         )
     except ValueError as exc:
         parser.error(str(exc))
@@ -127,9 +128,11 @@ def _compare(args, parser) -> int:
 
 
 def _suggest(args, parser) -> int:
-    if args.r < 1.0 or args.p < 1.0:
-        parser.error("--r and --p must both be >= 1")
-    print(f"{lambda_suggestion(args.r, args.p):.17g}")
+    try:
+        lam = lambda_suggestion(args.r, args.p)
+    except ValueError as exc:
+        parser.error(str(exc))
+    print(f"{lam:.17g}")
     return 0
 
 

@@ -12,8 +12,9 @@ import bisect
 import numpy as np
 
 DEFAULT_LEVEL_CAP = 1000
-
-_LOG2 = 0.6931471805599453
+# deepest supported gap level: the search offset needs 1/tau = 2^level
+# as a finite double
+MAX_LEVEL_CAP = 1023
 
 
 class DepthExceededError(RuntimeError):
@@ -89,12 +90,6 @@ def _lift(left: DyadicPoint, right: DyadicPoint) -> tuple[int, int, int]:
     )
 
 
-def gap_is_power_of_two(left: DyadicPoint, right: DyadicPoint) -> bool:
-    a, b, _ = _lift(left, right)
-    d = b - a
-    return d > 0 and (d & (d - 1)) == 0
-
-
 def midpoint(
     left: DyadicPoint, right: DyadicPoint, level_cap: int | None = DEFAULT_LEVEL_CAP
 ) -> DyadicPoint:
@@ -118,24 +113,40 @@ def midpoint(
     return mid
 
 
+_set_numerator = DyadicPoint.numerator.__set__
+_set_level = DyadicPoint.level.__set__
+
+
+def _canonical(numerator: int, level: int) -> DyadicPoint:
+    # a split site (2k+1)/2^(L+1) is canonical by construction, so the
+    # validation and reduction in DyadicPoint.__init__ are skipped
+    point = object.__new__(DyadicPoint)
+    _set_numerator(point, numerator)
+    _set_level(point, level)
+    return point
+
+
 class Skeleton:
-    """Ordered sites with observed values, plus cached summary statistics.
+    """Observed values and gap levels in site order, plus cached summaries.
 
     The first site is always 0 with value 0.  The first inserted site must
-    be 1; every later site must be the exact midpoint of the gap it lands
-    in, so all gaps stay exact powers of two.  The running minimum of the
-    values and the smallest gap are maintained incrementally.
+    be 1; every later site is the exact midpoint of the gap it lands in.
+    Every gap is therefore an aligned dyadic interval [k/2^L, (k+1)/2^L],
+    stored as its integer left numerator k and its level L, and splitting
+    gap j puts the new site (2k+1)/2^(L+1) at index j without any search.
+    The running minimum of the values and the smallest gap are maintained
+    incrementally.
     """
 
-    __slots__ = ("_sites", "_values", "_gap_lengths", "_gap_levels", "_count",
+    __slots__ = ("_values", "_gap_lengths", "_gap_nums", "_gap_levels", "_count",
                  "_min_value", "_tau_level")
 
     def __init__(self, capacity: int = 64):
         capacity = max(capacity, 8)
-        self._sites: list[DyadicPoint] = [ZERO]
         self._values = np.zeros(capacity)
         self._gap_lengths = np.zeros(capacity)
-        self._gap_levels = np.zeros(capacity, dtype=np.int64)
+        self._gap_nums: list[int] = []
+        self._gap_levels: list[int] = []
         self._count = 1
         self._min_value = 0.0
         self._tau_level: int | None = None
@@ -161,9 +172,19 @@ class Skeleton:
         """Smallest gap between consecutive sites, exact as a float."""
         return 2.0 ** -float(self.tau_level)
 
+    def site(self, i: int) -> DyadicPoint:
+        """The i-th site in increasing order (0-based)."""
+        if not 0 <= i < self._count:
+            raise IndexError(f"site index {i} out of range")
+        if i == 0:
+            return ZERO
+        if i == self._count - 1:
+            return ONE
+        return DyadicPoint(self._gap_nums[i], self._gap_levels[i])
+
     @property
     def sites(self) -> list[DyadicPoint]:
-        return list(self._sites)
+        return [self.site(i) for i in range(self._count)]
 
     @property
     def values(self) -> np.ndarray:
@@ -177,24 +198,33 @@ class Skeleton:
 
     @property
     def gap_levels(self) -> np.ndarray:
-        return self._gap_levels[: self._count - 1]
+        """Copy of the gap levels L (gap i has length 1/2^L)."""
+        return np.array(self._gap_levels, dtype=np.int64)
+
+    def gap_midpoint(self, j: int) -> DyadicPoint:
+        """Exact midpoint of gap j (1-based, between sites j-1 and j)."""
+        if not 1 <= j < self._count:
+            raise IndexError(f"gap index {j} out of range")
+        return _canonical(2 * self._gap_nums[j - 1] + 1, self._gap_levels[j - 1] + 1)
 
     def site_floats(self) -> np.ndarray:
-        return np.array([float(s) for s in self._sites])
+        return np.array([float(s) for s in self.sites])
 
     def items(self) -> list[tuple[DyadicPoint, float]]:
-        return [(s, float(v)) for s, v in zip(self._sites, self._values)]
+        return [(s, float(v)) for s, v in zip(self.sites, self._values)]
 
     def __len__(self) -> int:
         return self._count
 
     def __contains__(self, t: DyadicPoint) -> bool:
-        i = bisect.bisect_left(self._sites, t)
-        return i < self._count and self._sites[i] == t
+        return self.index_of(t) is not None
+
+    def _search(self, t: DyadicPoint) -> int:
+        return bisect.bisect_left(range(self._count), t, key=self.site)
 
     def index_of(self, t: DyadicPoint) -> int | None:
-        i = bisect.bisect_left(self._sites, t)
-        if i < self._count and self._sites[i] == t:
+        i = self._search(t)
+        if i < self._count and self.site(i) == t:
             return i
         return None
 
@@ -204,73 +234,81 @@ class Skeleton:
             raise KeyError(f"site {t} not in skeleton")
         return float(self._values[i])
 
-    def _ensure_capacity(self):
-        if self._count + 1 <= len(self._values):
-            return
-        grow = len(self._values) * 2
-        self._values = np.concatenate([self._values, np.zeros(grow - len(self._values))])
-        self._gap_lengths = np.concatenate(
-            [self._gap_lengths, np.zeros(grow - len(self._gap_lengths))]
-        )
-        self._gap_levels = np.concatenate(
-            [self._gap_levels, np.zeros(grow - len(self._gap_levels), dtype=np.int64)]
-        )
+    def locate(self, t: DyadicPoint, hint: int | None = None) -> int:
+        """1-based index of the gap whose midpoint is ``t``.
+
+        ``hint`` is an optional gap index that skips the binary search; it
+        is still validated.  Raises ValueError when ``t`` is already a
+        site, lies outside [0, 1] or is not the midpoint of its gap.
+        """
+        if hint is not None and 1 <= hint < self._count:
+            j = hint
+            if not (self.site(j - 1) < t < self.site(j)):
+                raise ValueError(f"hint {hint} does not bracket {t}")
+        else:
+            j = self._search(t)
+            if j < self._count and self.site(j) == t:
+                raise ValueError(f"duplicate site {t}")
+            if j == 0 or j == self._count:
+                raise ValueError(f"site {t} outside the covered interval")
+        # the only canonical dyadic of level L+1 strictly inside a gap of
+        # length 1/2^L is its midpoint
+        if t.level != self._gap_levels[j - 1] + 1:
+            raise ValueError(
+                f"site {t} is not the midpoint of gap ({self.site(j - 1)}, {self.site(j)})"
+            )
+        return j
 
     def insert(self, t: DyadicPoint, value: float, hint: int | None = None) -> int:
         """Insert a new (site, value) observation and return its index.
 
         The first insert must be the site 1.  Afterwards ``t`` must be the
-        exact midpoint of an existing gap.  ``hint`` is an optional gap
-        index (1-based, gap between sites hint-1 and hint) that skips the
-        binary search; it is still validated.
+        exact midpoint of an existing gap, found by :meth:`locate` (with
+        its optional ``hint``) and then split.
         """
         value = float(value)
-        self._ensure_capacity()
-        if self._count == 1:
-            if t != ONE:
-                raise ValueError(f"first inserted site must be 1, got {t}")
-            self._sites.append(ONE)
-            self._values[1] = value
-            self._gap_lengths[0] = 1.0
-            self._gap_levels[0] = 0
-            self._count = 2
-            self._min_value = min(self._min_value, value)
-            self._tau_level = 0
-            return 1
+        if self._count > 1:
+            j = self.locate(t, hint)
+            self.split(j, value)
+            return j
+        if t != ONE:
+            raise ValueError(f"first inserted site must be 1, got {t}")
+        self._values[1] = value
+        self._gap_lengths[0] = 1.0
+        self._gap_nums.append(0)
+        self._gap_levels.append(0)
+        self._count = 2
+        self._min_value = min(self._min_value, value)
+        self._tau_level = 0
+        return 1
 
-        if hint is not None and 1 <= hint < self._count:
-            idx = hint
-            if not (self._sites[idx - 1] < t < self._sites[idx]):
-                raise ValueError(f"hint {hint} does not bracket {t}")
-        else:
-            idx = bisect.bisect_left(self._sites, t)
-            if idx < self._count and self._sites[idx] == t:
-                raise ValueError(f"duplicate site {t}")
-            if idx == 0 or idx == self._count:
-                raise ValueError(f"site {t} outside the covered interval")
-
-        parent_level = int(self._gap_levels[idx - 1])
-        # the only canonical dyadic of level k+1 strictly inside a gap of
-        # length 1/2^k is its midpoint
-        if t.level != parent_level + 1:
-            raise ValueError(
-                f"site {t} is not the midpoint of gap ({self._sites[idx-1]}, {self._sites[idx]})"
-            )
-
-        n_old = self._count
-        self._sites.insert(idx, t)
-        self._values[idx + 1 : n_old + 1] = self._values[idx:n_old]
-        self._values[idx] = value
-        self._gap_lengths[idx : n_old] = self._gap_lengths[idx - 1 : n_old - 1]
-        self._gap_levels[idx : n_old] = self._gap_levels[idx - 1 : n_old - 1]
-        half = self._gap_lengths[idx - 1] / 2.0
-        self._gap_lengths[idx - 1] = half
-        self._gap_lengths[idx] = half
-        self._gap_levels[idx - 1] = parent_level + 1
-        self._gap_levels[idx] = parent_level + 1
-        self._count += 1
+    def split(self, j: int, value: float) -> None:
+        """Insert ``value`` at the midpoint of gap j (1-based); the new site
+        gets index j and the two halves become gaps j and j+1."""
+        count = self._count
+        if not 1 <= j < count:
+            raise IndexError(f"gap index {j} out of range")
+        if count == len(self._values):
+            grow = np.zeros(count)
+            self._values = np.concatenate([self._values, grow])
+            self._gap_lengths = np.concatenate([self._gap_lengths, grow])
+        g = j - 1
+        values = self._values
+        values[j + 1 : count + 1] = values[j:count]
+        values[j] = value
+        lengths = self._gap_lengths
+        half = lengths[g] / 2.0
+        lengths[j + 1 : count] = lengths[j : count - 1]
+        lengths[g] = half
+        lengths[j] = half
+        k = self._gap_nums[g]
+        self._gap_nums[g] = 2 * k
+        self._gap_nums.insert(j, 2 * k + 1)
+        level = self._gap_levels[g] + 1
+        self._gap_levels[g] = level
+        self._gap_levels.insert(j, level)
+        self._count = count + 1
         if value < self._min_value:
             self._min_value = value
-        if parent_level + 1 > self._tau_level:
-            self._tau_level = parent_level + 1
-        return idx
+        if level > self._tau_level:
+            self._tau_level = level

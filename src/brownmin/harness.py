@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bridge import segment_minima
-from .dyadic import DEFAULT_LEVEL_CAP, DepthExceededError, Skeleton
+from .dyadic import DEFAULT_LEVEL_CAP, MAX_LEVEL_CAP, DepthExceededError, Skeleton
 from .minimizer import MinimizerConfig, run
 from .oracle import BrownianOracle
 from .rng import RngStream
@@ -56,12 +56,16 @@ class ExperimentPlan:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.algorithm == ADAPTIVE and not self.lambdas:
             raise ValueError("adaptive plan needs at least one lambda")
-        if any(l < 1.0 for l in self.lambdas):
-            raise ValueError("all lambdas must be >= 1")
+        if not all(math.isfinite(l) and l >= 1.0 for l in self.lambdas):
+            raise ValueError(f"all lambdas must be finite and >= 1, got {self.lambdas}")
         if self.replications < 1:
             raise ValueError("need at least one replication")
-        if self.p < 1.0:
-            raise ValueError(f"p must be >= 1, got {self.p}")
+        if not (math.isfinite(self.p) and self.p >= 1.0):
+            raise ValueError(f"p must be finite and >= 1, got {self.p}")
+        if self.master_seed < 0:
+            raise ValueError(f"master seed must be >= 0, got {self.master_seed}")
+        if not 2 <= self.level_cap <= MAX_LEVEL_CAP:
+            raise ValueError(f"level_cap must be in [2, {MAX_LEVEL_CAP}], got {self.level_cap}")
         if not self.n_grid or list(self.n_grid) != sorted(set(self.n_grid)):
             raise ValueError("n_grid must be non-empty, strictly ascending")
         n_min = 2 if self.algorithm == ADAPTIVE else 1
@@ -166,8 +170,8 @@ def estimate_lp_error(deltas: np.ndarray, p: float) -> tuple[float, float]:
     deltas = np.asarray(deltas, dtype=float)
     if len(deltas) == 0:
         raise ValueError("no error samples")
-    if p < 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
+    if not (math.isfinite(p) and p >= 1.0):
+        raise ValueError(f"p must be finite and >= 1, got {p}")
     powers = np.abs(deltas) ** p
     lp = float(np.mean(powers) ** (1.0 / p))
     std = float(np.std(powers, ddof=1)) if len(deltas) > 1 else 0.0
@@ -189,8 +193,8 @@ def fit_rate(points: list[tuple[float, float]]) -> float:
 def lambda_suggestion(r: float, p: float) -> float:
     """Offset parameter large enough for convergence order r in L_p:
     144 * (1 + p * r)."""
-    if r < 1.0 or p < 1.0:
-        raise ValueError("r and p must both be >= 1")
+    if not all(math.isfinite(x) and x >= 1.0 for x in (r, p)):
+        raise ValueError(f"r and p must both be finite and >= 1, got {r} and {p}")
     return 144.0 * (1.0 + p * r)
 
 

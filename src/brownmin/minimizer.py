@@ -12,9 +12,14 @@ site is evaluated.  A large score marks a gap likely to hide a value below
 m - off, so the search concentrates around the minimum while the shrinking
 offset keeps it from stalling elsewhere.
 
-Scores are fully recomputed from scratch each step (O(n) per step, O(n^2)
-per run), which is the reference semantics: the running minimum and the
-smallest gap enter every score.
+Scores change globally only when m or tau moves: the offset depends on
+tau alone, so with both unchanged a step alters exactly two scores, those
+of the two halves of the split gap.  A step therefore scores the two new
+gaps with the same float expression as :func:`split_scores`, shifts the
+rest like the skeleton's values, and calls split_scores for a full rescore
+only when m or tau moved.  The scores are bit for bit those of a full
+recomputation; one argmax per step gives both the largest score of the
+new state and the gap the next step splits.
 """
 
 from __future__ import annotations
@@ -26,7 +31,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dyadic import DEFAULT_LEVEL_CAP, ONE, ZERO, DyadicPoint, Skeleton, midpoint
+from .dyadic import (
+    DEFAULT_LEVEL_CAP,
+    ONE,
+    MAX_LEVEL_CAP,
+    DepthExceededError,
+    DyadicPoint,
+    Skeleton,
+    _canonical,
+)
 from .oracle import PathOracle
 
 
@@ -38,8 +51,8 @@ def search_offset(x: float, lam: float) -> float:
     """
     if not 0.0 < x <= 1.0:
         raise ValueError(f"offset argument must be in (0, 1], got {x}")
-    if lam < 1.0:
-        raise ValueError(f"lam must be >= 1, got {lam}")
+    if not (math.isfinite(lam) and lam >= 1.0):
+        raise ValueError(f"lam must be finite and >= 1, got {lam}")
     return math.sqrt(lam * x * math.log(1.0 / x))
 
 
@@ -52,12 +65,12 @@ class MinimizerConfig:
     level_cap: int = DEFAULT_LEVEL_CAP
 
     def __post_init__(self):
-        if self.lam < 1.0:
-            raise ValueError(f"lam must be >= 1, got {self.lam}")
+        if not (math.isfinite(self.lam) and self.lam >= 1.0):
+            raise ValueError(f"lam must be finite and >= 1, got {self.lam}")
         if self.max_steps < 2:
             raise ValueError(f"max_steps must be >= 2, got {self.max_steps}")
-        if self.level_cap < 2:
-            raise ValueError("level_cap must be >= 2")
+        if not 2 <= self.level_cap <= MAX_LEVEL_CAP:
+            raise ValueError(f"level_cap must be in [2, {MAX_LEVEL_CAP}], got {self.level_cap}")
 
 
 class StepTrace(NamedTuple):
@@ -79,18 +92,31 @@ class StepTrace(NamedTuple):
     undershoot_max: float
 
 
-@dataclass
 class MinimizerState:
-    """Observation skeleton plus the derived per-gap split scores.
+    """Observation skeleton plus its per-gap split scores, kept current.
 
+    ``scores`` equals ``split_scores(state, lam)`` for the configuration
+    the state is stepped with; ``next_split`` is the 1-based gap the next
+    step splits (the leftmost largest score) and ``rho_max`` that score.
     ``max_scaled_increment`` is the running maximum of
     |v_i - v_{i-1}| / sqrt(gap_i) over every gap created so far, a
-    diagnostic for how rough the observed path is.
+    diagnostic for how rough the observed path is, as a NumPy float64.
+
+    Once the state exists, only :func:`step` may add sites to its skeleton.
     """
 
-    skeleton: Skeleton
-    scores: np.ndarray
-    max_scaled_increment: float
+    __slots__ = ("skeleton", "max_scaled_increment", "next_split", "rho_max",
+                 "_scores", "_lam", "_shift", "_n")
+
+    def __init__(self, skeleton: Skeleton):
+        self.skeleton = skeleton
+        self.max_scaled_increment = np.float64(0.0)
+        self.next_split = 1
+        self.rho_max = math.nan
+        self._scores = np.zeros(len(skeleton._values))
+        self._lam = math.nan  # lam and M_n - off behind the current scores
+        self._shift = math.nan
+        self._n = skeleton.n
 
     @property
     def n(self) -> int:
@@ -104,6 +130,16 @@ class MinimizerState:
     def tau(self) -> float:
         return self.skeleton.tau
 
+    @property
+    def scores(self) -> np.ndarray:
+        """View of the split scores, one per gap; the next step overwrites it."""
+        return self._scores[: self._n]
+
+
+def _score_shift(skel: Skeleton, lam: float) -> float:
+    # scores use h_i = v_i - (M_n - off); this is the subtracted constant
+    return skel.min_value - search_offset(skel.tau, lam)
+
 
 def split_scores(state: MinimizerState, lam: float) -> np.ndarray:
     """Recompute all split scores of the current skeleton from scratch.
@@ -112,11 +148,9 @@ def split_scores(state: MinimizerState, lam: float) -> np.ndarray:
     strictly positive; every score is then finite and positive.
     """
     skel = state.skeleton
-    n = skel.n
-    if n < 2:
+    if skel.n < 2:
         raise ValueError("split scores are defined from n = 2 on")
-    off = search_offset(skel.tau, lam)
-    h = skel.values - (skel.min_value - off)
+    h = skel.values - _score_shift(skel, lam)
     return skel.gap_lengths / (h[:-1] * h[1:])
 
 
@@ -124,7 +158,7 @@ def select_split(scores: np.ndarray) -> int:
     """1-based index of the largest score; smallest index on exact ties."""
     if len(scores) == 0:
         raise ValueError("empty score array")
-    return int(np.argmax(scores)) + 1
+    return int(scores.argmax()) + 1
 
 
 def undershoot_probabilities(scores: np.ndarray) -> np.ndarray:
@@ -133,65 +167,73 @@ def undershoot_probabilities(scores: np.ndarray) -> np.ndarray:
     return np.exp(-2.0 / np.asarray(scores, dtype=float))
 
 
-def _update_increment_stat(state: MinimizerState, idx: int) -> None:
-    # the two gaps created by inserting at site index idx
-    vals = state.skeleton.values
-    root = math.sqrt(state.skeleton.gap_lengths[idx - 1])
-    left = abs(vals[idx] - vals[idx - 1]) / root
-    right = abs(vals[idx + 1] - vals[idx]) / root
-    if left > state.max_scaled_increment:
-        state.max_scaled_increment = left
-    if right > state.max_scaled_increment:
-        state.max_scaled_increment = right
-
-
-def _trace(state: MinimizerState, split_index: int, site: DyadicPoint,
-           value: float) -> StepTrace:
-    rho_max = float(state.scores.max())
-    return StepTrace(
-        n=state.skeleton.n,
-        split_index=split_index,
-        site=site,
-        value=value,
-        m_n=state.skeleton.min_value,
-        tau_level=state.skeleton.tau_level,
-        rho_max=rho_max,
-        undershoot_max=math.exp(-2.0 / rho_max),
-    )
-
-
 def init_state(oracle: PathOracle, config: MinimizerConfig) -> tuple[MinimizerState, StepTrace]:
     """Run the nonadaptive start (sites 1 and 1/2) on a fresh oracle.
 
     Returns the state after two evaluations together with its trace row;
-    the bootstrap midpoint 1/2 counts as splitting the single gap [0, 1].
+    the bootstrap midpoint 1/2 is the first step, splitting the single gap
+    [0, 1].
     """
     if oracle.skeleton.n != 0:
         raise ValueError("oracle must be fresh (no evaluations yet)")
-    oracle.evaluate(ONE)
-    half = midpoint(ZERO, ONE, config.level_cap)
-    value = oracle.evaluate(half, hint=1)
-    state = MinimizerState(
-        skeleton=oracle.skeleton,
-        scores=np.empty(0),
-        max_scaled_increment=0.0,
-    )
-    vals = state.skeleton.values
-    state.max_scaled_increment = abs(vals[2])  # |f(1) - f(0)| / sqrt(1)
-    _update_increment_stat(state, 1)
-    state.scores = split_scores(state, config.lam)
-    return state, _trace(state, 1, half, value)
+    value = oracle.evaluate(ONE)
+    state = MinimizerState(oracle.skeleton)
+    state.max_scaled_increment = np.float64(abs(value))  # |f(1) - f(0)| / sqrt(1)
+    return state, step(state, oracle, config)
 
 
 def step(state: MinimizerState, oracle: PathOracle, config: MinimizerConfig) -> StepTrace:
-    """Split the highest-scoring gap at its midpoint and evaluate there."""
+    """Split the highest-scoring gap at its midpoint and evaluate there.
+
+    Only the two halves of the split gap get new scores, unless M_n, the
+    smallest gap or lam changed; then every gap is rescored with
+    split_scores.
+    """
     skel = state.skeleton
-    j = select_split(state.scores)
-    site = midpoint(skel._sites[j - 1], skel._sites[j], config.level_cap)
-    value = oracle.evaluate(site, hint=j)
-    _update_increment_stat(state, j)
-    state.scores = split_scores(state, config.lam)
-    return _trace(state, j, site, value)
+    if oracle.skeleton is not skel or skel._count - 1 != state._n:
+        raise ValueError("the state's skeleton was changed outside step")
+    j = state.next_split
+    g = j - 1
+    level = skel._gap_levels[g] + 1
+    if level > config.level_cap:
+        raise DepthExceededError(
+            f"midpoint of ({skel.site(g)}, {skel.site(j)}) needs level {level} "
+            f"> cap {config.level_cap}"
+        )
+    m_old = skel._min_value
+    tau_old = skel._tau_level
+    value = oracle.split(j)
+    n = state._n = skel._count - 1
+
+    values = skel._values
+    a = values.item(g)
+    b = values.item(j + 1)
+    half = skel._gap_lengths.item(g)
+    increment = max(abs(value - a), abs(b - value)) / math.sqrt(half)
+    if increment > state.max_scaled_increment:
+        state.max_scaled_increment = np.float64(increment)
+
+    scores = state._scores
+    if n > len(scores):
+        scores = state._scores = np.concatenate([scores, np.zeros(len(scores))])
+    if value < m_old or level > tau_old or config.lam != state._lam:
+        scores[:n] = split_scores(state, config.lam)
+        state._lam = config.lam
+        state._shift = _score_shift(skel, config.lam)
+    else:
+        # the same float expression split_scores evaluates per gap
+        scores[j + 1 : n] = scores[j : n - 1]
+        c = state._shift
+        h = value - c
+        scores[g] = half / ((a - c) * h)
+        scores[j] = half / (h * (b - c))
+
+    current = scores[:n]
+    state.next_split = select_split(current)
+    rho_max = state.rho_max = current.item(state.next_split - 1)
+    site = _canonical(skel._gap_nums[j], level)
+    return StepTrace(n, j, site, value, skel._min_value, skel._tau_level,
+                     rho_max, math.exp(-2.0 / rho_max))
 
 
 def run(oracle: PathOracle, config: MinimizerConfig) -> tuple[MinimizerState, list[StepTrace]]:
@@ -200,7 +242,7 @@ def run(oracle: PathOracle, config: MinimizerConfig) -> tuple[MinimizerState, li
     n = 2 .. max_steps."""
     state, first = init_state(oracle, config)
     traces = [first]
-    while state.skeleton.n < config.max_steps:
+    while state.n < config.max_steps:
         traces.append(step(state, oracle, config))
     return state, traces
 
@@ -229,7 +271,7 @@ def check_score_bound(state: MinimizerState, config: MinimizerConfig) -> ScoreBo
         raise ValueError("score bound check needs n >= 2")
     increment_bound = math.sqrt(config.lam * math.log(n) / 4.0)
     score_bound = 2.0 / (config.lam * math.log(1.0 / state.skeleton.tau))
-    rho_max = float(state.scores.max())
+    rho_max = state.rho_max
     applicable = state.max_scaled_increment <= increment_bound
     if applicable and rho_max > score_bound:
         raise RuntimeError(

@@ -123,3 +123,40 @@ def test_suggest_lambda(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["suggest-lambda", "--r", "0.5", "--p", "1"])
     assert exc.value.code == 2
+
+
+SIMULATE = ["simulate", "--lambda", "1", "--steps", "40", "--seed", "3"]
+EXPERIMENT = ["experiment", "--lambdas", "1", "--p", "2", "--reps", "4",
+              "--n-grid", "4,8", "--seed", "7"]
+
+
+def _with(argv, flag, value):
+    i = argv.index(flag)
+    return argv[: i + 1] + [value] + argv[i + 2:]
+
+
+@pytest.mark.parametrize("argv", [
+    _with(SIMULATE, "--lambda", "nan"),
+    _with(SIMULATE, "--lambda", "inf"),
+    _with(EXPERIMENT, "--lambdas", "nan"),
+    _with(EXPERIMENT, "--lambdas", "1,x"),
+    _with(EXPERIMENT, "--p", "inf"),
+    _with(EXPERIMENT, "--p", "nan"),
+    _with(EXPERIMENT, "--seed", "-1"),
+    SIMULATE + ["--level-cap", "0"],
+    SIMULATE + ["--level-cap", "1"],
+    EXPERIMENT + ["--level-cap", "1"],
+    SIMULATE + ["--level-cap", "1024"],
+    ["suggest-lambda", "--r", "nan", "--p", "1"],
+    ["suggest-lambda", "--r", "1", "--p", "inf"],
+], ids=["simulate-lambda-nan", "simulate-lambda-inf", "lambdas-nan", "lambdas-not-a-number",
+        "p-inf", "p-nan", "negative-seed", "simulate-level-cap-0", "simulate-level-cap-1",
+        "experiment-level-cap-1", "simulate-level-cap-1024", "suggest-r-nan", "suggest-p-inf"])
+def test_invalid_input_is_a_usage_error(argv, tmp_path):
+    out = tmp_path / "x.csv"
+    if argv[0] != "suggest-lambda":
+        argv = argv + ["--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert not out.exists()

@@ -50,6 +50,11 @@ def test_plan_validation():
         small_plan(algorithm="bogus")
     with pytest.raises(ValueError):
         small_plan(lambdas=())
+    for bad in ({"lambdas": (math.nan,)}, {"lambdas": (1.0, math.inf)},
+                {"p": math.inf}, {"p": math.nan}, {"level_cap": 1},
+                {"master_seed": -1}):
+        with pytest.raises(ValueError):
+            small_plan(**bad)
 
 
 def test_single_segment_inverse_cdf_example():
@@ -175,8 +180,9 @@ def test_estimate_lp_error_examples():
     assert lp == 0.0
     with pytest.raises(ValueError):
         estimate_lp_error(np.array([]), 2.0)
-    with pytest.raises(ValueError):
-        estimate_lp_error(np.array([0.1]), 0.5)
+    for bad_p in (0.5, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            estimate_lp_error(np.array([0.1]), bad_p)
 
 
 def test_fit_rate_examples():
@@ -198,6 +204,10 @@ def test_lambda_suggestion():
         lambda_suggestion(0.5, 1.0)
     with pytest.raises(ValueError):
         lambda_suggestion(1.0, 0.0)
+    with pytest.raises(ValueError):
+        lambda_suggestion(math.nan, 1.0)
+    with pytest.raises(ValueError):
+        lambda_suggestion(1.0, math.inf)
 
 
 def test_run_experiment_shape_and_worker_independence():

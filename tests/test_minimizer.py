@@ -1,3 +1,4 @@
+import bisect
 import csv
 import math
 from fractions import Fraction
@@ -43,16 +44,24 @@ def test_search_offset_domain():
     for bad_x in (0.0, -0.5, 1.1):
         with pytest.raises(ValueError):
             search_offset(bad_x, 1.0)
-    with pytest.raises(ValueError):
-        search_offset(0.5, 0.99)
+    for bad_lam in (0.99, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            search_offset(0.5, bad_lam)
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        MinimizerConfig(lam=0.5, max_steps=10)
+    for bad_lam in (0.5, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            MinimizerConfig(lam=bad_lam, max_steps=10)
     with pytest.raises(ValueError):
         MinimizerConfig(lam=1.0, max_steps=1)
+    for bad_cap in (1, 1024):
+        with pytest.raises(ValueError):
+            MinimizerConfig(lam=1.0, max_steps=10, level_cap=bad_cap)
     MinimizerConfig(lam=1.0, max_steps=2)
+    # 1/tau stays a finite double down to the deepest allowed level
+    MinimizerConfig(lam=1.0, max_steps=2, level_cap=1023)
+    assert math.isfinite(search_offset(2.0**-1023, 1.0))
 
 
 def test_split_scores_flat_path():
@@ -168,11 +177,74 @@ def test_step_splits_leftmost_maximum():
         assert np.all(scores_before[: j - 1] < scores_before[j - 1])
 
 
+def _run_checking_scores(oracle, config):
+    """Run the search; after every state, the kept scores must equal a full
+    recomputation and the next split must be the leftmost largest score.
+    Returns the traces and the number of states with a tied largest score."""
+    state, first = init_state(oracle, config)
+    traces = [first]
+    ties = 0
+    while True:
+        scores = split_scores(state, config.lam)
+        assert np.array_equal(state.scores, scores), state.n
+        largest = np.flatnonzero(scores == scores.max())
+        assert state.next_split == int(largest[0]) + 1
+        assert state.rho_max == traces[-1].rho_max == scores.max()
+        ties += len(largest) > 1
+        if state.n == config.max_steps:
+            return traces, ties
+        traces.append(step(state, oracle, config))
+
+
+def _scalar_reference_values(traces, stream):
+    """Values of the traced sites redrawn with one scalar normal per site:
+    W(1) first, then each midpoint from its neighbours at that time."""
+    sites = [Fraction(0), Fraction(1)]
+    values = {Fraction(0): 0.0, Fraction(1): stream.gaussian()}
+    out = []
+    for tr in traces:
+        t = Fraction(tr.site.numerator, 2**tr.site.level)
+        i = bisect.bisect_left(sites, t)
+        left, right = sites[i - 1], sites[i]
+        assert t == (left + right) / 2
+        a, b = values[left], values[right]
+        T = float(right - left)
+        values[t] = a + 0.5 * (b - a) + 0.5 * math.sqrt(T) * stream.gaussian()
+        sites.insert(i, t)
+        out.append(values[t])
+    return out
+
+
 def test_state_scores_match_recomputation():
-    oracle = BrownianOracle(RngStream(52, 0))
-    config = MinimizerConfig(lam=1.0, max_steps=40)
-    state, _ = run(oracle, config)
-    assert np.array_equal(state.scores, split_scores(state, config.lam))
+    for lam in (1.0, 8.0):
+        # capacity 8: the oracle draws its normals in blocks of 8, 16, ...
+        oracle = BrownianOracle(RngStream(52, int(lam)), capacity=8)
+        traces, _ = _run_checking_scores(oracle, MinimizerConfig(lam=lam, max_steps=2000))
+        reference = _scalar_reference_values(traces, RngStream(52, int(lam)))
+        assert [tr.value for tr in traces] == reference
+    # a flat path ties everywhere, and ties must go to the leftmost gap
+    _, ties = _run_checking_scores(DeterministicOracle(lambda t: 0.0),
+                                   MinimizerConfig(lam=1.0, max_steps=300))
+    assert ties > 100
+    # stepping the same state under another lam rescores every gap
+    oracle = BrownianOracle(RngStream(52, 9))
+    state, _ = run(oracle, MinimizerConfig(lam=1.0, max_steps=50))
+    config = MinimizerConfig(lam=4.0, max_steps=60)
+    step(state, oracle, config)
+    assert np.array_equal(state.scores, split_scores(state, 4.0))
+
+
+def test_step_refuses_a_skeleton_changed_outside_step():
+    config = MinimizerConfig(lam=1.0, max_steps=10)
+    oracle = BrownianOracle(RngStream(53, 0))
+    state, _ = init_state(oracle, config)
+    oracle.evaluate(DyadicPoint(3, 2))  # kept scores no longer match
+    with pytest.raises(ValueError):
+        step(state, oracle, config)
+    other = BrownianOracle(RngStream(53, 1))
+    state, _ = init_state(BrownianOracle(RngStream(53, 0)), config)
+    with pytest.raises(ValueError):
+        step(state, other, config)
 
 
 def test_undershoot_probabilities():

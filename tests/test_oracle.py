@@ -5,7 +5,13 @@ import pytest
 from scipy import stats
 
 from brownmin.dyadic import ONE, ZERO, DyadicPoint
-from brownmin.oracle import BrownianOracle, DeterministicOracle, grid_reference_min
+from brownmin.minimizer import MinimizerConfig, run
+from brownmin.oracle import (
+    BrownianOracle,
+    DeterministicOracle,
+    PathOracle,
+    grid_reference_min,
+)
 from brownmin.rng import RngStream
 
 HALF = DyadicPoint(1, 1)
@@ -41,6 +47,25 @@ def test_midpoint_draw_uses_bridge_law():
     assert w1 == z1
     w_half = oracle.evaluate(HALF)
     assert w_half == pytest.approx(0.5 * w1 + 0.5 * z2, rel=1e-15)
+
+
+def test_midpoint_draw_keeps_its_spread_at_depth():
+    # the bridge formula sqrt(s (T - s) / T) at s = T/2 equals sqrt(T)/2
+    # exactly down to level 536, and underflows to 0 from level 537 on
+    for level in range(1001):
+        T = 2.0**-level
+        s = T / 2.0
+        assert (math.sqrt(s * (T - s) / T) == 0.5 * math.sqrt(T)) == (level <= 536)
+    z = RngStream(19, 0).gaussians(602)
+    oracle = BrownianOracle(RngStream(19, 0))
+    for level in range(601):  # 1, 1/2, ..., 2^-600
+        oracle.evaluate(DyadicPoint(1, level))
+    T = 2.0**-600
+    b = oracle.skeleton.value_at(DyadicPoint(1, 600))
+    value = oracle.evaluate(DyadicPoint(1, 601))  # midpoint of (0, 2^-600)
+    deviation = value - (0.0 + 0.5 * (b - 0.0))
+    assert deviation != 0.0
+    assert deviation == pytest.approx(0.5 * math.sqrt(T) * z[601], rel=1e-9)
 
 
 def test_memoization_returns_identical_value_without_new_draws():
@@ -104,6 +129,23 @@ def test_deterministic_oracle_fills_bisection_ancestors():
     assert [str(s) for s in oracle.skeleton.sites] == [
         "0/2^0", "1/2^2", "3/2^3", "1/2^1", "1/2^0",
     ]
+
+
+def test_oracle_with_only_evaluate_can_be_searched():
+    # PathOracle.split falls back to evaluate(midpoint, hint=j)
+    def fn(t):
+        return (t - 1.0 / 3.0) ** 2 - 1.0 / 9.0
+
+    class EvaluateOnly(PathOracle):
+        def __init__(self):
+            self.inner = DeterministicOracle(fn)
+            self.skeleton = self.inner.skeleton
+
+        def evaluate(self, t, hint=None):
+            return self.inner.evaluate(t, hint)
+
+    config = MinimizerConfig(lam=1.0, max_steps=40)
+    assert run(EvaluateOnly(), config)[1] == run(DeterministicOracle(fn), config)[1]
 
 
 def test_grid_reference_min_examples():
