@@ -35,11 +35,13 @@ from .harness import (
     run_equidistant,
     run_experiment,
     run_replication,
+    run_replications,
     sample_path_minimum,
     sample_true_min,
     write_errors_csv,
 )
 from .minimizer import (
+    BlockResult,
     MinimizerConfig,
     MinimizerState,
     ScoreBoundCheck,
@@ -47,6 +49,7 @@ from .minimizer import (
     check_score_bound,
     init_state,
     run,
+    search_block,
     search_offset,
     select_split,
     split_scores,
@@ -61,6 +64,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ADAPTIVE",
+    "BlockResult",
     "BridgeSegment",
     "BrownianOracle",
     "DEFAULT_LEVEL_CAP",
@@ -95,8 +99,10 @@ __all__ = [
     "run_equidistant",
     "run_experiment",
     "run_replication",
+    "run_replications",
     "sample_path_minimum",
     "sample_true_min",
+    "search_block",
     "search_offset",
     "segment_minima",
     "select_split",

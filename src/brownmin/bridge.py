@@ -33,14 +33,17 @@ class BridgeSegment:
 
 
 def _interior(a: float, b: float, T: float, s: float, z: float) -> float:
-    return a + (s / T) * (b - a) + math.sqrt(s * (T - s) / T) * z
+    # s / T * (T - s) stays positive at every level where T does; the
+    # product s * (T - s) underflows to 0 once T is about 2^-537
+    return a + (s / T) * (b - a) + math.sqrt(s / T * (T - s)) * z
 
 
 def interior_sample(seg: BridgeSegment, s: float, z: float) -> float:
     """Value of the bridge at offset s in (0, T), driven by a N(0,1) input z.
 
-    Returns a + (s/T)(b - a) + sqrt(s (T - s) / T) * z.  At s = T/2 this is
-    the midpoint law: mean (a + b)/2, standard deviation sqrt(T)/2.
+    Returns a + (s/T)(b - a) + sqrt(s/T (T - s)) * z.  At s = T/2 this is
+    the midpoint law: mean (a + b)/2, standard deviation sqrt(T)/2, and
+    the value equals the Brownian oracle's midpoint draw bit for bit.
     """
     if not 0.0 < s < seg.T:
         raise ValueError(f"offset {s} outside (0, {seg.T})")

@@ -150,6 +150,9 @@ def main(argv: list[str] | None = None) -> int:
     except DepthExceededError as exc:
         print(f"brownmin: bisection depth exceeded: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"brownmin: {exc}", file=sys.stderr)
+        return 3
 
 
 def entrypoint() -> None:

@@ -11,6 +11,13 @@ M is sampled once per replication from the final skeleton and reused for
 every intermediate n, which keeps the per-path error trace internally
 consistent.  All randomness is addressed by (master_seed, namespace,
 replication, role), so results are byte-identical under any worker count.
+
+:func:`run_experiment` hands out work items of whole replications: blocks
+of contiguous adaptive replications, which :func:`run_replications`
+searches in lockstep with :func:`~brownmin.minimizer.search_block`, and
+single equidistant replications covering the whole n grid.  A block
+reproduces :func:`run_replication` sample for sample, so the output bytes
+depend on neither the block size nor the worker count.
 """
 
 from __future__ import annotations
@@ -23,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bridge import segment_minima
-from .dyadic import DEFAULT_LEVEL_CAP, MAX_LEVEL_CAP, DepthExceededError, Skeleton
-from .minimizer import MinimizerConfig, run
+from .dyadic import DEFAULT_LEVEL_CAP, MAX_LEVEL_CAP, Skeleton
+from .minimizer import MinimizerConfig, run, search_block
 from .oracle import BrownianOracle
 from .rng import RngStream
 
@@ -35,6 +42,10 @@ EQUIDISTANT = "equidistant"
 _NS = {ADAPTIVE: 0, EQUIDISTANT: 1}
 _ROLE_PATH = 0
 _ROLE_TRUE_MIN = 1
+
+# entries of each (rows, max n) array of a lockstep block, 512 KiB as
+# float64: bounds a block's memory for any plan
+_BLOCK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -138,6 +149,32 @@ def run_replication(plan: ExperimentPlan, lam: float, replication: int) -> Error
     return ErrorSample(replication, deltas)
 
 
+def run_replications(plan: ExperimentPlan, lam: float, replications) -> list[ErrorSample | None]:
+    """Adaptive replications run as one lockstep block.
+
+    Equals ``[run_replication(plan, lam, r) for r in replications]``
+    sample for sample, with None for each replication that exceeds the
+    level cap (where run_replication raises DepthExceededError).  Each row
+    takes the first max(n_grid) normals of its path stream, the ones the
+    oracle draws.
+    """
+    replications = list(replications)
+    normals = np.empty((len(replications), max(plan.n_grid)))
+    for row, replication in enumerate(replications):
+        normals[row] = path_stream(plan, ADAPTIVE, replication).gaussians(normals.shape[1])
+    block = search_block(normals, lam, plan.level_cap, plan.n_grid)
+    samples: list[ErrorSample | None] = []
+    for row, replication in enumerate(replications):
+        if block.capped[row]:
+            samples.append(None)
+            continue
+        true_min = sample_path_minimum(block.values[row], block.lengths[row],
+                                       true_min_stream(plan, ADAPTIVE, replication))
+        deltas = {n: float(m - true_min) for n, m in zip(plan.n_grid, block.m_n[row])}
+        samples.append(ErrorSample(replication, deltas))
+    return samples
+
+
 def equidistant_error(increments: np.ndarray, uniforms: np.ndarray) -> float:
     """Error of the equidistant rule given its raw draws (pure core)."""
     n = len(increments)
@@ -156,10 +193,16 @@ def run_equidistant(plan: ExperimentPlan, n: int, replication: int) -> ErrorSamp
     """
     if n < 1:
         raise ValueError("equidistant rule needs n >= 1")
-    stream = path_stream(plan, EQUIDISTANT, replication)
-    increments = stream.gaussians(n) * math.sqrt(1.0 / n)
-    uniforms = true_min_stream(plan, EQUIDISTANT, replication).uniform_open_closed(n)
-    return ErrorSample(replication, {n: equidistant_error(increments, uniforms)})
+    return _equidistant_sample(plan, (n,), replication)
+
+
+def _equidistant_sample(plan: ExperimentPlan, ns, replication: int) -> ErrorSample:
+    # the draws for size n are the first n of those for max(ns)
+    n_max = max(ns)
+    normals = path_stream(plan, EQUIDISTANT, replication).gaussians(n_max)
+    uniforms = true_min_stream(plan, EQUIDISTANT, replication).uniform_open_closed(n_max)
+    return ErrorSample(replication, {
+        n: equidistant_error(normals[:n] * math.sqrt(1.0 / n), uniforms[:n]) for n in ns})
 
 
 def estimate_lp_error(deltas: np.ndarray, p: float) -> tuple[float, float]:
@@ -198,40 +241,36 @@ def lambda_suggestion(r: float, p: float) -> float:
     return 144.0 * (1.0 + p * r)
 
 
-def _adaptive_task(args) -> ErrorSample | None:
-    plan, lam, replication = args
-    try:
-        return run_replication(plan, lam, replication)
-    except DepthExceededError:
-        return None
-
-
-def _equidistant_task(args) -> ErrorSample | None:
-    plan, n, replication = args
-    return run_equidistant(plan, n, replication)
-
-
-def _map_tasks(fn, tasks, workers: int):
+def _map_tasks(fn, workers: int, *columns):
+    # [fn(*task) for task in zip(*columns)] over at most ``workers`` processes
     if workers <= 1:
-        return [fn(t) for t in tasks]
-    chunk = max(1, len(tasks) // (workers * 4))
+        return list(map(fn, *columns))
+    chunk = max(1, len(columns[0]) // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks, chunksize=chunk))
+        return list(pool.map(fn, *columns, chunksize=chunk))
 
 
 def run_experiment(plan: ExperimentPlan, workers: int = 1) -> list[ErrorEstimate]:
     """Run the full plan and aggregate one estimate per (lambda, n) cell.
 
-    Replications are independent work items mapped over at most
-    ``workers`` processes; output does not depend on the worker count.
-    Replications that exceed the bisection depth cap are dropped and
-    counted in the estimates they would have contributed to.
+    Work items are mapped over at most ``workers`` processes: blocks of
+    contiguous adaptive replications, one per worker unless a block of
+    ``_BLOCK_ENTRIES / max(n_grid)`` rows is smaller, and single
+    equidistant replications over the whole n grid.  Output does not
+    depend on the worker count.  Replications that exceed the bisection
+    depth cap are dropped and counted in the estimates they would have
+    contributed to.
     """
     estimates: list[ErrorEstimate] = []
     reps = range(plan.replications)
     if plan.algorithm == ADAPTIVE:
+        rows = min(math.ceil(plan.replications / max(workers, 1)),
+                   max(1, _BLOCK_ENTRIES // max(plan.n_grid)))
+        blocks = [reps[lo : lo + rows] for lo in range(0, plan.replications, rows)]
         for lam in plan.lambdas:
-            samples = _map_tasks(_adaptive_task, [(plan, lam, r) for r in reps], workers)
+            results = _map_tasks(run_replications, workers,
+                                 [plan] * len(blocks), [lam] * len(blocks), blocks)
+            samples = [sample for block in results for sample in block]
             kept = [s for s in samples if s is not None]
             dropped = len(samples) - len(kept)
             for n in plan.n_grid:
@@ -239,13 +278,11 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> list[ErrorEstimate
                     ADAPTIVE, lam, plan, n,
                     np.array([s.deltas[n] for s in kept]), dropped))
     else:
+        samples = _map_tasks(_equidistant_sample, workers, [plan] * len(reps),
+                             [plan.n_grid] * len(reps), reps)
         for n in plan.n_grid:
-            samples = _map_tasks(_equidistant_task, [(plan, n, r) for r in reps], workers)
-            kept = [s for s in samples if s is not None]
-            dropped = len(samples) - len(kept)
             estimates.append(_estimate_cell(
-                EQUIDISTANT, None, plan, n,
-                np.array([s.deltas[n] for s in kept]), dropped))
+                EQUIDISTANT, None, plan, n, np.array([s.deltas[n] for s in samples]), 0))
     return estimates
 
 

@@ -20,6 +20,21 @@ rest like the skeleton's values, and calls split_scores for a full rescore
 only when m or tau moved.  The scores are bit for bit those of a full
 recomputation; one argmax per step gives both the largest score of the
 new state and the gap the next step splits.
+
+:func:`search_block` runs R searches on Brownian paths in lockstep, one
+row per path, so that a step's Python overhead is paid once per block.
+Each row keeps its gaps unordered, one slot per gap holding the left and
+right value, the level, the score and a link to the next gap in site
+order; splitting the gap in slot j overwrites it with the left half and
+appends the right half in a new slot, so no row ever shifts.  A row whose
+minimum or smallest gap moved is rescored in full, every other row scores
+its two new gaps.  Slots are not in site order, so the first argmax of a
+row is the split of the per-path search only when the largest score is
+unique; a row whose first and last argmax differ walks its links and
+splits the leftmost gap in site order that holds the largest score.  The
+block takes the same normals and evaluates the same float expressions as
+:func:`run` on a :class:`~brownmin.oracle.BrownianOracle`, so every M_n
+and every final value agrees bit for bit.
 """
 
 from __future__ import annotations
@@ -141,6 +156,12 @@ def _score_shift(skel: Skeleton, lam: float) -> float:
     return skel.min_value - search_offset(skel.tau, lam)
 
 
+def _score(length, left, right, c):
+    # split score of a gap with endpoint values left and right, where
+    # c = M_n - off; the one float expression behind every score
+    return length / ((left - c) * (right - c))
+
+
 def split_scores(state: MinimizerState, lam: float) -> np.ndarray:
     """Recompute all split scores of the current skeleton from scratch.
 
@@ -150,8 +171,8 @@ def split_scores(state: MinimizerState, lam: float) -> np.ndarray:
     skel = state.skeleton
     if skel.n < 2:
         raise ValueError("split scores are defined from n = 2 on")
-    h = skel.values - _score_shift(skel, lam)
-    return skel.gap_lengths / (h[:-1] * h[1:])
+    values = skel.values
+    return _score(skel.gap_lengths, values[:-1], values[1:], _score_shift(skel, lam))
 
 
 def select_split(scores: np.ndarray) -> int:
@@ -221,12 +242,9 @@ def step(state: MinimizerState, oracle: PathOracle, config: MinimizerConfig) -> 
         state._lam = config.lam
         state._shift = _score_shift(skel, config.lam)
     else:
-        # the same float expression split_scores evaluates per gap
         scores[j + 1 : n] = scores[j : n - 1]
-        c = state._shift
-        h = value - c
-        scores[g] = half / ((a - c) * h)
-        scores[j] = half / (h * (b - c))
+        scores[g] = _score(half, a, value, state._shift)
+        scores[j] = _score(half, value, b, state._shift)
 
     current = scores[:n]
     state.next_split = select_split(current)
@@ -245,6 +263,128 @@ def run(oracle: PathOracle, config: MinimizerConfig) -> tuple[MinimizerState, li
     while state.n < config.max_steps:
         traces.append(step(state, oracle, config))
     return state, traces
+
+
+class BlockResult(NamedTuple):
+    """Outcome of :func:`search_block` for R rows run to N evaluations.
+
+    ``m_n[r, k]`` is row r's M_n at the k-th recorded n.  ``capped[r]`` is
+    true when row r needed a split deeper than the level cap; its other
+    entries are then meaningless.  ``values`` (R, N+1) and ``lengths``
+    (R, N) are each row's final sites' values and gap lengths in site
+    order.
+    """
+
+    m_n: np.ndarray
+    capped: np.ndarray
+    values: np.ndarray
+    lengths: np.ndarray
+
+
+def search_block(normals: np.ndarray, lam: float, level_cap: int,
+                 record) -> BlockResult:
+    """Run one search per row of ``normals`` (R, N) in lockstep.
+
+    Row r is the search of :func:`run` to N evaluations on a Brownian path
+    whose k-th new site takes the normal ``normals[r, k]``, as a
+    :class:`~brownmin.oracle.BrownianOracle` does; M_n is recorded at each
+    n in ``record``.  A row that needs a split deeper than ``level_cap``
+    is marked in ``capped`` where the per-path search raises
+    DepthExceededError.
+    """
+    normals = np.asarray(normals, dtype=float)
+    if normals.ndim != 2:
+        raise ValueError("normals must be an (R, N) array")
+    rows_count, n_max = normals.shape
+    MinimizerConfig(lam=lam, max_steps=n_max, level_cap=level_cap)  # validates all three
+    record = [int(n) for n in record]
+    if not all(2 <= n <= n_max for n in record):
+        raise ValueError(f"recorded n must lie in [2, {n_max}], got {record}")
+
+    # per-level tables: the exact length 2^-L, the midpoint's standard
+    # deviation as the oracle computes it, and the scalar search offset
+    # (math.log, which np.log may miss by one ulp)
+    length_of = np.array([2.0 ** -level for level in range(level_cap + 1)])
+    half_sd = np.array([0.5 * math.sqrt(length) for length in length_of])
+    offset = np.array([search_offset(length, lam) for length in length_of])
+
+    rows = np.arange(rows_count)
+    left = np.zeros((rows_count, n_max))
+    right = np.empty((rows_count, n_max))
+    levels = np.zeros((rows_count, n_max), dtype=np.int16)
+    links = np.empty((rows_count, n_max), dtype=np.int32)
+    scores = np.empty((rows_count, n_max))
+    # n = 1: the single gap [0, 1] in slot 0, the last gap in site order
+    right[:, 0] = normals[:, 0]
+    links[:, 0] = -1
+    m = np.where(normals[:, 0] < 0.0, normals[:, 0], 0.0)
+    tau = np.zeros(rows_count, dtype=np.int16)
+    split = np.zeros(rows_count, dtype=np.intp)
+    capped = np.zeros(rows_count, dtype=bool)
+    m_n = np.empty((rows_count, len(record)))
+    column = {n: k for k, n in enumerate(record)}
+
+    for n in range(2, n_max + 1):
+        new = n - 1  # slot of the right half
+        a = left[rows, split]
+        b = right[rows, split]
+        parent = levels[rows, split]
+        value = a + 0.5 * (b - a) + half_sd[parent] * normals[:, n - 1]
+        level = parent + 1
+        deep = level > level_cap
+        if deep.any():
+            capped |= deep
+            level = np.minimum(level, level_cap)  # keeps table lookups in range
+        right[rows, split] = value
+        levels[rows, split] = level
+        left[:, new] = value
+        right[:, new] = b
+        levels[:, new] = level
+        links[:, new] = links[rows, split]
+        links[rows, split] = new
+
+        lower = value < m
+        moved = np.flatnonzero(lower | (level > tau))
+        m = np.where(lower, value, m)
+        tau = np.maximum(tau, level)
+        c = m - offset[tau]
+        half = length_of[level]
+        scores[rows, split] = _score(half, a, value, c)
+        scores[:, new] = _score(half, value, b, c)
+        if len(moved):
+            scores[moved, :n] = _score(length_of[levels[moved, :n]], left[moved, :n],
+                                       right[moved, :n], c[moved, None])
+        if n in column:
+            m_n[:, column[n]] = m
+        if n < n_max:
+            current = scores[:, :n]
+            split = current.argmax(axis=1)
+            last = n - 1 - current[:, ::-1].argmax(axis=1)
+            for r in np.flatnonzero(split != last):
+                split[r] = _leftmost_largest(scores[r, :n], links[r, :n], split[r])
+
+    values = np.empty((rows_count, n_max + 1))
+    site_levels = np.empty((rows_count, n_max), dtype=np.int16)
+    slot = np.zeros(rows_count, dtype=np.intp)
+    for i in range(n_max):  # walk the links in site order
+        values[:, i] = left[rows, slot]
+        site_levels[:, i] = levels[rows, slot]
+        last = slot
+        slot = links[rows, slot]
+    values[:, n_max] = right[rows, last]
+    return BlockResult(m_n, capped, values, length_of[site_levels])
+
+
+def _leftmost_largest(scores: np.ndarray, links: np.ndarray, first: int) -> int:
+    # the first slot in site order (slot 0 holds the leftmost gap) whose
+    # score equals the row's largest, scores[first]
+    best = scores[first]
+    scores = scores.tolist()
+    links = links.tolist()
+    slot = 0
+    while scores[slot] != best:
+        slot = links[slot]
+    return slot
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,24 @@ def test_interior_sample_offset_domain():
             interior_sample(seg, bad, 0.0)
 
 
+def test_interior_midpoint_keeps_its_spread_at_depth():
+    # s (T - s) underflows at T = 2^-600; s / T * (T - s) does not
+    seg = BridgeSegment(0.0, 0.0, 2.0**-600)
+    value = interior_sample(seg, 2.0**-601, 1.0)
+    assert value == 2.0**-301 and value == pytest.approx(2.4545e-91, rel=1e-4)
+
+
+def test_interior_midpoint_equals_the_oracle_draw():
+    # the Brownian oracle draws a midpoint as a + 0.5 (b - a) + 0.5 sqrt(T) z;
+    # endpoint values of order sqrt(T) keep the deviation visible at depth
+    z = -0.8125
+    for level in range(1024):
+        T = 2.0**-level
+        a, b = 0.3 * math.sqrt(T), -1.7 * math.sqrt(T)
+        oracle_draw = a + 0.5 * (b - a) + 0.5 * math.sqrt(T) * z
+        assert interior_sample(BridgeSegment(a, b, T), T / 2.0, z) == oracle_draw
+
+
 def test_interior_midpoint_moments():
     # midpoint law: mean (a+b)/2, variance T/4
     stream = RngStream(314, 0)

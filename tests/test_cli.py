@@ -160,3 +160,15 @@ def test_invalid_input_is_a_usage_error(argv, tmp_path):
         main(argv)
     assert exc.value.code == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    SIMULATE,
+    ["compare", "--lambdas", "1", "--p", "2", "--reps", "2", "--n-grid", "4,8", "--seed", "9"],
+], ids=["simulate", "compare"])
+def test_unwritable_output_is_a_runtime_error(argv, tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    assert main(argv + ["--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("brownmin: ") and err.count("\n") == 1
+    assert str(out) in err

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from brownmin.bridge import segment_minima
-from brownmin.dyadic import ONE, DyadicPoint, Skeleton
+from brownmin.dyadic import ONE, DepthExceededError, DyadicPoint, Skeleton
 from brownmin.harness import (
     ADAPTIVE,
     EQUIDISTANT,
@@ -17,12 +17,13 @@ from brownmin.harness import (
     run_equidistant,
     run_experiment,
     run_replication,
+    run_replications,
     sample_path_minimum,
     sample_true_min,
     write_errors_csv,
 )
-from brownmin.minimizer import MinimizerConfig, run
-from brownmin.oracle import BrownianOracle
+from brownmin.minimizer import MinimizerConfig, run, search_block
+from brownmin.oracle import BrownianOracle, DeterministicOracle
 from brownmin.rng import RngStream
 
 
@@ -218,6 +219,52 @@ def test_run_experiment_shape_and_worker_independence():
     assert all(e.algorithm == ADAPTIVE and e.dropped == 0 for e in serial)
     parallel = run_experiment(plan, workers=2)
     assert serial == parallel
+    assert run_experiment(plan, workers=3) == serial  # blocks of 3, 3 and 2
+
+
+def _replication_or_none(plan, lam, replication):
+    try:
+        return run_replication(plan, lam, replication)
+    except DepthExceededError:
+        return None
+
+
+@pytest.mark.parametrize("lam", [1.0, 8.0])
+@pytest.mark.parametrize("level_cap", [14, 16])
+def test_block_search_equals_per_path_search(lam, level_cap):
+    plan = small_plan(lambdas=(lam,), n_grid=(2, 16, 100, 256), replications=64,
+                      level_cap=level_cap)
+    reference = [_replication_or_none(plan, lam, r) for r in range(64)]
+    if level_cap == 14:
+        assert 0 < sum(s is None for s in reference) < 64  # some rows drop, not all
+    for rows in (1, 5, 64):
+        blocks = [range(lo, min(lo + rows, 64)) for lo in range(0, 64, rows)]
+        assert [s for b in blocks for s in run_replications(plan, lam, b)] == reference
+
+
+def test_block_search_breaks_ties_like_the_per_path_search():
+    # a flat path: every score ties, so each split is the leftmost gap in
+    # site order, which the block finds by walking its links
+    steps = 300
+    block = search_block(np.zeros((3, steps)), 1.0, 1000, (2, 50, steps))
+    state, traces = run(DeterministicOracle(lambda t: 0.0, capacity=steps + 2),
+                        MinimizerConfig(lam=1.0, max_steps=steps))
+    skel = state.skeleton
+    assert not block.capped.any()
+    assert np.array_equal(block.m_n, np.tile([traces[n - 2].m_n for n in (2, 50, steps)], (3, 1)))
+    for row in range(3):
+        assert np.array_equal(block.values[row], skel.values)
+        assert np.array_equal(block.lengths[row], 2.0 ** -skel.gap_levels.astype(float))
+
+
+def test_search_block_validation():
+    normals = np.zeros((2, 8))
+    search_block(normals, 1.0, 1000, (2, 8))
+    for args in ((np.zeros(8), 1.0, 1000, (8,)), (normals, 0.5, 1000, (8,)),
+                 (normals, 1.0, 1, (8,)), (normals, 1.0, 1000, (1,)),
+                 (normals, 1.0, 1000, (9,))):
+        with pytest.raises(ValueError):
+            search_block(*args)
 
 
 def test_run_experiment_equidistant():
