@@ -40,6 +40,13 @@ def _parse_ints(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x.strip()]
 
 
+def _worker_count(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="brownmin",
@@ -68,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated ascending list, e.g. 16,32,64")
         cmd.add_argument("--seed", type=int, required=True)
         cmd.add_argument("--out", required=True)
-        cmd.add_argument("--threads", type=int, default=1)
+        cmd.add_argument("--threads", type=_worker_count, default=1)
         cmd.add_argument("--level-cap", type=int, default=None)
 
     sug = sub.add_parser("suggest-lambda", help="offset parameter for a target rate")

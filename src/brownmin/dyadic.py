@@ -16,6 +16,13 @@ DEFAULT_LEVEL_CAP = 1000
 # as a finite double
 MAX_LEVEL_CAP = 1023
 
+# geometry of a gap of level L, for every supported L: its exact length
+# 2^-L and the standard deviation sqrt(2^-L)/2 of its bridge midpoint,
+# which stays positive at every level (s (T - s) / T underflows first)
+GAP_LENGTH = np.array([2.0 ** -level for level in range(MAX_LEVEL_CAP + 1)])
+MIDPOINT_SD = 0.5 * np.sqrt(GAP_LENGTH)
+GAP_LENGTH.flags.writeable = MIDPOINT_SD.flags.writeable = False
+
 
 class DepthExceededError(RuntimeError):
     """Raised when a midpoint would exceed the configured bisection depth."""
@@ -131,22 +138,22 @@ class Skeleton:
 
     The first site is always 0 with value 0.  The first inserted site must
     be 1; every later site is the exact midpoint of the gap it lands in.
-    Every gap is therefore an aligned dyadic interval [k/2^L, (k+1)/2^L],
-    stored as its integer left numerator k and its level L, and splitting
-    gap j puts the new site (2k+1)/2^(L+1) at index j without any search.
-    The running minimum of the values and the smallest gap are maintained
-    incrementally.
+    Every gap is therefore an aligned dyadic interval [k/2^L, (k+1)/2^L]:
+    its level L sits in an int16 array and its exact left numerator k in a
+    list, and its length and midpoint spread are read from ``GAP_LENGTH``
+    and ``MIDPOINT_SD``.  Splitting gap j puts the new site (2k+1)/2^(L+1)
+    at index j without any search.  The running minimum of the values and
+    the smallest gap are maintained incrementally.
     """
 
-    __slots__ = ("_values", "_gap_lengths", "_gap_nums", "_gap_levels", "_count",
+    __slots__ = ("_values", "_gap_levels", "_gap_nums", "_count",
                  "_min_value", "_tau_level")
 
     def __init__(self, capacity: int = 64):
         capacity = max(capacity, 8)
         self._values = np.zeros(capacity)
-        self._gap_lengths = np.zeros(capacity)
+        self._gap_levels = np.zeros(capacity, dtype=np.int16)
         self._gap_nums: list[int] = []
-        self._gap_levels: list[int] = []
         self._count = 1
         self._min_value = 0.0
         self._tau_level: int | None = None
@@ -170,7 +177,7 @@ class Skeleton:
     @property
     def tau(self) -> float:
         """Smallest gap between consecutive sites, exact as a float."""
-        return 2.0 ** -float(self.tau_level)
+        return GAP_LENGTH.item(self.tau_level)
 
     def site(self, i: int) -> DyadicPoint:
         """The i-th site in increasing order (0-based)."""
@@ -180,7 +187,7 @@ class Skeleton:
             return ZERO
         if i == self._count - 1:
             return ONE
-        return DyadicPoint(self._gap_nums[i], self._gap_levels[i])
+        return DyadicPoint(self._gap_nums[i], self._gap_levels.item(i))
 
     @property
     def sites(self) -> list[DyadicPoint]:
@@ -193,25 +200,22 @@ class Skeleton:
 
     @property
     def gap_lengths(self) -> np.ndarray:
-        """View of consecutive gap lengths; treat as read only."""
-        return self._gap_lengths[: self._count - 1]
+        """Consecutive gap lengths 1/2^L, exact."""
+        return GAP_LENGTH[self._gap_levels[: self._count - 1]]
 
     @property
     def gap_levels(self) -> np.ndarray:
         """Copy of the gap levels L (gap i has length 1/2^L)."""
-        return np.array(self._gap_levels, dtype=np.int64)
+        return self._gap_levels[: self._count - 1].astype(np.int64)
 
     def gap_midpoint(self, j: int) -> DyadicPoint:
         """Exact midpoint of gap j (1-based, between sites j-1 and j)."""
         if not 1 <= j < self._count:
             raise IndexError(f"gap index {j} out of range")
-        return _canonical(2 * self._gap_nums[j - 1] + 1, self._gap_levels[j - 1] + 1)
+        return _canonical(2 * self._gap_nums[j - 1] + 1, self._gap_levels.item(j - 1) + 1)
 
     def site_floats(self) -> np.ndarray:
         return np.array([float(s) for s in self.sites])
-
-    def items(self) -> list[tuple[DyadicPoint, float]]:
-        return [(s, float(v)) for s, v in zip(self.sites, self._values)]
 
     def __len__(self) -> int:
         return self._count
@@ -234,49 +238,41 @@ class Skeleton:
             raise KeyError(f"site {t} not in skeleton")
         return float(self._values[i])
 
-    def locate(self, t: DyadicPoint, hint: int | None = None) -> int:
+    def locate(self, t: DyadicPoint) -> int:
         """1-based index of the gap whose midpoint is ``t``.
 
-        ``hint`` is an optional gap index that skips the binary search; it
-        is still validated.  Raises ValueError when ``t`` is already a
-        site, lies outside [0, 1] or is not the midpoint of its gap.
+        Raises ValueError when ``t`` is already a site, lies outside the
+        covered interval or is not the midpoint of its gap.
         """
-        if hint is not None and 1 <= hint < self._count:
-            j = hint
-            if not (self.site(j - 1) < t < self.site(j)):
-                raise ValueError(f"hint {hint} does not bracket {t}")
-        else:
-            j = self._search(t)
-            if j < self._count and self.site(j) == t:
-                raise ValueError(f"duplicate site {t}")
-            if j == 0 or j == self._count:
-                raise ValueError(f"site {t} outside the covered interval")
+        j = self._search(t)
+        if j < self._count and self.site(j) == t:
+            raise ValueError(f"duplicate site {t}")
+        if j == 0 or j == self._count:
+            raise ValueError(f"site {t} outside the covered interval")
         # the only canonical dyadic of level L+1 strictly inside a gap of
         # length 1/2^L is its midpoint
-        if t.level != self._gap_levels[j - 1] + 1:
+        if t.level != self._gap_levels.item(j - 1) + 1:
             raise ValueError(
                 f"site {t} is not the midpoint of gap ({self.site(j - 1)}, {self.site(j)})"
             )
         return j
 
-    def insert(self, t: DyadicPoint, value: float, hint: int | None = None) -> int:
+    def insert(self, t: DyadicPoint, value: float) -> int:
         """Insert a new (site, value) observation and return its index.
 
         The first insert must be the site 1.  Afterwards ``t`` must be the
-        exact midpoint of an existing gap, found by :meth:`locate` (with
-        its optional ``hint``) and then split.
+        exact midpoint of an existing gap, found by :meth:`locate` and
+        then split.
         """
         value = float(value)
         if self._count > 1:
-            j = self.locate(t, hint)
+            j = self.locate(t)
             self.split(j, value)
             return j
         if t != ONE:
             raise ValueError(f"first inserted site must be 1, got {t}")
         self._values[1] = value
-        self._gap_lengths[0] = 1.0
         self._gap_nums.append(0)
-        self._gap_levels.append(0)
         self._count = 2
         self._min_value = min(self._min_value, value)
         self._tau_level = 0
@@ -284,29 +280,28 @@ class Skeleton:
 
     def split(self, j: int, value: float) -> None:
         """Insert ``value`` at the midpoint of gap j (1-based); the new site
-        gets index j and the two halves become gaps j and j+1."""
+        gets index j and the two halves become gaps j and j+1.  Halves
+        deeper than MAX_LEVEL_CAP raise DepthExceededError."""
         count = self._count
         if not 1 <= j < count:
             raise IndexError(f"gap index {j} out of range")
-        if count == len(self._values):
-            grow = np.zeros(count)
-            self._values = np.concatenate([self._values, grow])
-            self._gap_lengths = np.concatenate([self._gap_lengths, grow])
         g = j - 1
+        levels = self._gap_levels
+        level = levels.item(g) + 1
+        if level > MAX_LEVEL_CAP:
+            raise DepthExceededError(f"splitting gap {j} needs level {level} > {MAX_LEVEL_CAP}")
+        if count == len(self._values):
+            self._values = np.concatenate([self._values, np.zeros(count)])
+            levels = self._gap_levels = np.concatenate([levels, np.zeros_like(levels)])
         values = self._values
         values[j + 1 : count + 1] = values[j:count]
         values[j] = value
-        lengths = self._gap_lengths
-        half = lengths[g] / 2.0
-        lengths[j + 1 : count] = lengths[j : count - 1]
-        lengths[g] = half
-        lengths[j] = half
+        levels[j + 1 : count] = levels[j : count - 1]
+        levels[g] = level
+        levels[j] = level
         k = self._gap_nums[g]
         self._gap_nums[g] = 2 * k
         self._gap_nums.insert(j, 2 * k + 1)
-        level = self._gap_levels[g] + 1
-        self._gap_levels[g] = level
-        self._gap_levels.insert(j, level)
         self._count = count + 1
         if value < self._min_value:
             self._min_value = value

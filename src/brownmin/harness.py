@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -241,11 +242,22 @@ def lambda_suggestion(r: float, p: float) -> float:
     return 144.0 * (1.0 + p * r)
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _map_tasks(fn, workers: int, *columns):
-    # [fn(*task) for task in zip(*columns)] over at most ``workers`` processes
+    # [fn(*task) for task in zip(*columns)] over at most ``workers``
+    # processes, and never more than there are tasks or usable CPUs: the
+    # pool may start all its processes at the first submit
+    tasks = len(columns[0])
+    workers = min(workers, tasks, _usable_cpus())
     if workers <= 1:
         return list(map(fn, *columns))
-    chunk = max(1, len(columns[0]) // (workers * 4))
+    chunk = max(1, tasks // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, *columns, chunksize=chunk))
 

@@ -48,6 +48,8 @@ import numpy as np
 
 from .dyadic import (
     DEFAULT_LEVEL_CAP,
+    GAP_LENGTH,
+    MIDPOINT_SD,
     ONE,
     MAX_LEVEL_CAP,
     DepthExceededError,
@@ -215,7 +217,7 @@ def step(state: MinimizerState, oracle: PathOracle, config: MinimizerConfig) -> 
         raise ValueError("the state's skeleton was changed outside step")
     j = state.next_split
     g = j - 1
-    level = skel._gap_levels[g] + 1
+    level = skel._gap_levels.item(g) + 1
     if level > config.level_cap:
         raise DepthExceededError(
             f"midpoint of ({skel.site(g)}, {skel.site(j)}) needs level {level} "
@@ -229,7 +231,7 @@ def step(state: MinimizerState, oracle: PathOracle, config: MinimizerConfig) -> 
     values = skel._values
     a = values.item(g)
     b = values.item(j + 1)
-    half = skel._gap_lengths.item(g)
+    half = GAP_LENGTH.item(level)
     increment = max(abs(value - a), abs(b - value)) / math.sqrt(half)
     if increment > state.max_scaled_increment:
         state.max_scaled_increment = np.float64(increment)
@@ -301,12 +303,9 @@ def search_block(normals: np.ndarray, lam: float, level_cap: int,
     if not all(2 <= n <= n_max for n in record):
         raise ValueError(f"recorded n must lie in [2, {n_max}], got {record}")
 
-    # per-level tables: the exact length 2^-L, the midpoint's standard
-    # deviation as the oracle computes it, and the scalar search offset
-    # (math.log, which np.log may miss by one ulp)
-    length_of = np.array([2.0 ** -level for level in range(level_cap + 1)])
-    half_sd = np.array([0.5 * math.sqrt(length) for length in length_of])
-    offset = np.array([search_offset(length, lam) for length in length_of])
+    # the scalar search offset per level (math.log, which np.log may miss
+    # by one ulp); lengths and midpoint spreads come from the dyadic tables
+    offset = np.array([search_offset(length, lam) for length in GAP_LENGTH[: level_cap + 1]])
 
     rows = np.arange(rows_count)
     left = np.zeros((rows_count, n_max))
@@ -329,7 +328,7 @@ def search_block(normals: np.ndarray, lam: float, level_cap: int,
         a = left[rows, split]
         b = right[rows, split]
         parent = levels[rows, split]
-        value = a + 0.5 * (b - a) + half_sd[parent] * normals[:, n - 1]
+        value = a + 0.5 * (b - a) + MIDPOINT_SD[parent] * normals[:, n - 1]
         level = parent + 1
         deep = level > level_cap
         if deep.any():
@@ -348,11 +347,11 @@ def search_block(normals: np.ndarray, lam: float, level_cap: int,
         m = np.where(lower, value, m)
         tau = np.maximum(tau, level)
         c = m - offset[tau]
-        half = length_of[level]
+        half = GAP_LENGTH[level]
         scores[rows, split] = _score(half, a, value, c)
         scores[:, new] = _score(half, value, b, c)
         if len(moved):
-            scores[moved, :n] = _score(length_of[levels[moved, :n]], left[moved, :n],
+            scores[moved, :n] = _score(GAP_LENGTH[levels[moved, :n]], left[moved, :n],
                                        right[moved, :n], c[moved, None])
         if n in column:
             m_n[:, column[n]] = m
@@ -372,7 +371,7 @@ def search_block(normals: np.ndarray, lam: float, level_cap: int,
         last = slot
         slot = links[rows, slot]
     values[:, n_max] = right[rows, last]
-    return BlockResult(m_n, capped, values, length_of[site_levels])
+    return BlockResult(m_n, capped, values, GAP_LENGTH[site_levels])
 
 
 def _leftmost_largest(scores: np.ndarray, links: np.ndarray, first: int) -> int:

@@ -14,12 +14,11 @@ finds that gap for a given site and takes the same path.
 from __future__ import annotations
 
 import abc
-import math
 from typing import Callable
 
 import numpy as np
 
-from .dyadic import ONE, ZERO, DyadicPoint, Skeleton
+from .dyadic import MIDPOINT_SD, ONE, ZERO, DyadicPoint, Skeleton
 from .rng import RngStream
 
 
@@ -29,13 +28,13 @@ class PathOracle(abc.ABC):
     skeleton: Skeleton
 
     @abc.abstractmethod
-    def evaluate(self, t: DyadicPoint, hint: int | None = None) -> float:
+    def evaluate(self, t: DyadicPoint) -> float:
         """Value at t, consistent with all previous evaluations."""
 
     def split(self, j: int) -> float:
         """Evaluate the midpoint of gap j (1-based), insert it into the
         skeleton at index j and return its value."""
-        return self.evaluate(self.skeleton.gap_midpoint(j), hint=j)
+        return self.evaluate(self.skeleton.gap_midpoint(j))
 
 
 class BrownianOracle(PathOracle):
@@ -54,43 +53,37 @@ class BrownianOracle(PathOracle):
         self.stream = stream
         self.skeleton = Skeleton(capacity=capacity)
         self._block = max(capacity, 8)
-        self._normals = iter(())
+        self._normals: list[float] = []
 
     def _normal(self) -> float:
-        z = next(self._normals, None)
-        if z is None:
-            self._normals = iter(self.stream.gaussians(self._block).tolist())
+        # indexed by the site count, so a split the skeleton refuses uses none
+        k = self.skeleton._count - 1
+        while k >= len(self._normals):
+            self._normals += self.stream.gaussians(self._block).tolist()
             self._block *= 2
-            z = next(self._normals)
-        return z
+        return self._normals[k]
 
-    def evaluate(self, t: DyadicPoint, hint: int | None = None) -> float:
+    def evaluate(self, t: DyadicPoint) -> float:
         skel = self.skeleton
-        if t == ZERO:
-            return 0.0
-        if skel.n == 0:
-            if t != ONE:
-                raise ValueError(
-                    f"cannot evaluate {t} before the endpoint 1 has been evaluated"
-                )
-            value = self._normal()
-            skel.insert(ONE, value)
-            return value
-        if hint is None:
-            existing = skel.index_of(t)
-            if existing is not None:
-                return float(skel.values[existing])  # memoized, no new draw
-        return self.split(skel.locate(t, hint))
+        existing = skel.index_of(t)
+        if existing is not None:
+            return float(skel.values[existing])  # memoized, no new draw
+        if skel.n > 0:
+            return self.split(skel.locate(t))
+        if t != ONE:
+            raise ValueError(f"cannot evaluate {t} before the endpoint 1 has been evaluated")
+        value = self._normal()
+        skel.insert(ONE, value)
+        return value
 
     def split(self, j: int) -> float:
-        # midpoint of a gap of length T between values a and b: mean
-        # (a + b)/2 and standard deviation sqrt(T)/2, which stays positive
-        # at every level where T itself is (s (T - s) / T underflows first)
+        # midpoint of a gap of level L between values a and b: mean
+        # (a + b)/2 and standard deviation MIDPOINT_SD[L] = sqrt(2^-L)/2
         skel = self.skeleton
         a = skel._values.item(j - 1)
         b = skel._values.item(j)
-        T = skel._gap_lengths.item(j - 1)
-        value = a + 0.5 * (b - a) + 0.5 * math.sqrt(T) * self._normal()
+        sd = MIDPOINT_SD.item(skel._gap_levels.item(j - 1))
+        value = a + 0.5 * (b - a) + sd * self._normal()
         skel.split(j, value)
         return value
 
@@ -99,9 +92,10 @@ class DeterministicOracle(PathOracle):
     """Closed-form test function with f(0) = 0, evaluated at float(t).
 
     Evaluation order is unrestricted: asking for a site whose bisection
-    ancestors have not been seen yet simply evaluates those ancestors too
-    (the function is pure, so the extra evaluations are free), keeping the
-    skeleton a valid midpoint refinement.
+    ancestors have not been seen yet splits the gap that holds it until it
+    is a site, which evaluates those ancestors too (the function is pure,
+    so the extra evaluations are free) and keeps the skeleton a valid
+    midpoint refinement.
     """
 
     def __init__(self, fn: Callable[[float], float], capacity: int = 64):
@@ -110,35 +104,21 @@ class DeterministicOracle(PathOracle):
         self.fn = fn
         self.skeleton = Skeleton(capacity=capacity)
 
-    def evaluate(self, t: DyadicPoint, hint: int | None = None) -> float:
+    def evaluate(self, t: DyadicPoint) -> float:
         skel = self.skeleton
-        if t == ZERO:
-            return 0.0
-        if hint is not None and skel.n > 0 and t not in skel:
-            return self.split(skel.locate(t, hint))
-        return self._ensure(t)
+        if skel.n == 0 and t != ZERO:
+            skel.insert(ONE, float(self.fn(1.0)))
+        while True:
+            i = skel._search(t)
+            if skel.site(i) == t:
+                return float(skel.values[i])
+            self.split(i)  # gap i holds t strictly inside
 
     def split(self, j: int) -> float:
         skel = self.skeleton
         value = float(self.fn(float(skel.gap_midpoint(j))))
         skel.split(j, value)
         return value
-
-    def _ensure(self, t: DyadicPoint) -> float:
-        skel = self.skeleton
-        if t == ZERO:
-            return 0.0
-        existing = skel.index_of(t)
-        if existing is not None:
-            return float(skel.values[existing])
-        if t == ONE:
-            value = float(self.fn(1.0))
-            skel.insert(ONE, value)
-            return value
-        # t is the midpoint of its two reduced neighbours at this level
-        self._ensure(DyadicPoint(t.numerator - 1, t.level))
-        self._ensure(DyadicPoint(t.numerator + 1, t.level))
-        return self.split(skel.locate(t))
 
 
 def grid_reference_min(oracle: DeterministicOracle, grid_size: int) -> float:

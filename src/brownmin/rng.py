@@ -22,10 +22,6 @@ class RngStream:
         seq = np.random.SeedSequence(entropy=self.master_seed, spawn_key=self.key)
         self._gen = np.random.Generator(np.random.Philox(seq))
 
-    @property
-    def stream_index(self) -> int:
-        return self.key[0] if self.key else 0
-
     def substream(self, *sub: int) -> "RngStream":
         """Independent child stream; a pure function of the extended key."""
         return RngStream(self.master_seed, *self.key, *sub)

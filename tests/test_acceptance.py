@@ -17,7 +17,7 @@ from brownmin.harness import (
     fit_rate,
     run_equidistant,
     run_experiment,
-    run_replication,
+    run_replications,
 )
 from brownmin.minimizer import (
     MinimizerConfig,
@@ -43,18 +43,18 @@ SEED_MIDPOINT = 7707
 
 @pytest.fixture(scope="module")
 def adaptive_lam1():
-    """1000 adaptive replications at lambda=1 run to n=512."""
+    """1000 adaptive replications at lambda=1 run to n=512, as one block."""
     plan = ExperimentPlan(lambdas=(1.0,), n_grid=(32, 64, 128, 256, 512),
                           p=2.0, replications=1000, master_seed=SEED_MC)
-    samples = [run_replication(plan, 1.0, r) for r in range(plan.replications)]
+    samples = run_replications(plan, 1.0, range(plan.replications))
     return {n: np.array([s.deltas[n] for s in samples]) for n in plan.n_grid}
 
 
 def _adaptive_deltas_at_256(lam):
     plan = ExperimentPlan(lambdas=(lam,), n_grid=(256,), p=2.0,
                           replications=1000, master_seed=SEED_MC)
-    return np.array([run_replication(plan, lam, r).deltas[256]
-                     for r in range(plan.replications)])
+    return np.array([s.deltas[256]
+                     for s in run_replications(plan, lam, range(plan.replications))])
 
 
 @pytest.fixture(scope="module")

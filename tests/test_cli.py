@@ -149,9 +149,12 @@ def _with(argv, flag, value):
     SIMULATE + ["--level-cap", "1024"],
     ["suggest-lambda", "--r", "nan", "--p", "1"],
     ["suggest-lambda", "--r", "1", "--p", "inf"],
+    EXPERIMENT + ["--threads", "0"],
+    EXPERIMENT + ["--threads", "-1"],
 ], ids=["simulate-lambda-nan", "simulate-lambda-inf", "lambdas-nan", "lambdas-not-a-number",
         "p-inf", "p-nan", "negative-seed", "simulate-level-cap-0", "simulate-level-cap-1",
-        "experiment-level-cap-1", "simulate-level-cap-1024", "suggest-r-nan", "suggest-p-inf"])
+        "experiment-level-cap-1", "simulate-level-cap-1024", "suggest-r-nan", "suggest-p-inf",
+        "threads-0", "threads-negative"])
 def test_invalid_input_is_a_usage_error(argv, tmp_path):
     out = tmp_path / "x.csv"
     if argv[0] != "suggest-lambda":

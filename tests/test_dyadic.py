@@ -6,6 +6,7 @@ import pytest
 
 from brownmin.dyadic import (
     DEFAULT_LEVEL_CAP,
+    MAX_LEVEL_CAP,
     ONE,
     ZERO,
     DepthExceededError,
@@ -158,10 +159,20 @@ def test_skeleton_rejects_bad_inserts():
         skel.insert(DyadicPoint(1, 1), 0.0)  # duplicate midpoint
 
 
-def test_skeleton_bad_hint_rejected():
-    skel = _build([(ONE, 1.0), (DyadicPoint(1, 1), 0.5)])
-    with pytest.raises(ValueError):
-        skel.insert(DyadicPoint(1, 2), 0.1, hint=2)  # 1/4 not inside (1/2, 1)
+def test_skeleton_tables_cover_every_level_to_the_cap():
+    skel = _build([(ONE, 1.0)])
+    for _ in range(MAX_LEVEL_CAP):  # split the first gap down to the cap
+        skel.split(1, 0.5)
+    assert skel.tau_level == MAX_LEVEL_CAP
+    assert skel.gap_lengths[0] == skel.tau == 2.0**-1023
+    levels = [MAX_LEVEL_CAP] + list(range(MAX_LEVEL_CAP, 0, -1))
+    assert skel.gap_levels.tolist() == levels
+    assert skel.gap_lengths.tolist() == [2.0**-level for level in levels]
+    # there is no table entry deeper than the cap, so the skeleton refuses
+    with pytest.raises(DepthExceededError):
+        skel.split(1, 0.0)
+    assert skel.n == MAX_LEVEL_CAP + 1
+    assert skel.gap_levels.tolist() == levels
 
 
 def test_skeleton_random_midpoint_properties():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from brownmin import harness
 from brownmin.bridge import segment_minima
 from brownmin.dyadic import ONE, DepthExceededError, DyadicPoint, Skeleton
 from brownmin.harness import (
@@ -220,6 +221,34 @@ def test_run_experiment_shape_and_worker_independence():
     parallel = run_experiment(plan, workers=2)
     assert serial == parallel
     assert run_experiment(plan, workers=3) == serial  # blocks of 3, 3 and 2
+
+
+def test_pool_size_is_bounded_by_tasks_and_cpus(monkeypatch):
+    # a recording stand-in for the process pool: it starts no process
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, *columns, chunksize=1):
+            return map(fn, *columns)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 4)
+    plan = small_plan(replications=3)
+    serial = run_experiment(plan, workers=1)
+    assert run_experiment(plan, workers=100_000) == serial  # 3 blocks of 1
+    assert run_experiment(plan, workers=2) == serial  # blocks of 2 and 1
+    equidistant = small_plan(lambdas=(), replications=10, algorithm=EQUIDISTANT)
+    assert run_experiment(equidistant, workers=100_000) == run_experiment(equidistant)
+    assert sizes == [3, 2, 4]
 
 
 def _replication_or_none(plan, lam, replication):

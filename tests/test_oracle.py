@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from brownmin.dyadic import ONE, ZERO, DyadicPoint
+from brownmin.dyadic import MAX_LEVEL_CAP, ONE, ZERO, DepthExceededError, DyadicPoint
 from brownmin.minimizer import MinimizerConfig, run
 from brownmin.oracle import (
     BrownianOracle,
@@ -56,16 +56,25 @@ def test_midpoint_draw_keeps_its_spread_at_depth():
         T = 2.0**-level
         s = T / 2.0
         assert (math.sqrt(s * (T - s) / T) == 0.5 * math.sqrt(T)) == (level <= 536)
-    z = RngStream(19, 0).gaussians(602)
+    # the oracle draws with spread sqrt(T)/2 at every level, down to the deepest gaps
+    z = RngStream(19, 0).gaussians(MAX_LEVEL_CAP + 2)
     oracle = BrownianOracle(RngStream(19, 0))
-    for level in range(601):  # 1, 1/2, ..., 2^-600
-        oracle.evaluate(DyadicPoint(1, level))
-    T = 2.0**-600
-    b = oracle.skeleton.value_at(DyadicPoint(1, 600))
-    value = oracle.evaluate(DyadicPoint(1, 601))  # midpoint of (0, 2^-600)
-    deviation = value - (0.0 + 0.5 * (b - 0.0))
-    assert deviation != 0.0
-    assert deviation == pytest.approx(0.5 * math.sqrt(T) * z[601], rel=1e-9)
+    skel = oracle.skeleton
+    oracle.evaluate(ONE)
+    for level in range(MAX_LEVEL_CAP):
+        b = skel.value_at(DyadicPoint(1, level))
+        value = oracle.evaluate(DyadicPoint(1, level + 1))  # midpoint of (0, 2^-level)
+        deviation = value - (0.0 + 0.5 * (b - 0.0))
+        assert deviation != 0.0
+        assert deviation == pytest.approx(0.5 * math.sqrt(2.0**-level) * z[level + 1], rel=1e-9)
+    assert skel.gap_lengths[0] == skel.tau == 2.0**-1023
+    with pytest.raises(DepthExceededError):
+        oracle.split(1)  # no table entry deeper than the cap
+    assert skel.n == MAX_LEVEL_CAP + 1
+    # the refused split used no normal: the next new site takes the next one
+    a, b = skel.value_at(DyadicPoint(1, 1)), skel.value_at(ONE)
+    value = oracle.evaluate(DyadicPoint(3, 2))  # midpoint of (1/2, 1)
+    assert value == a + 0.5 * (b - a) + 0.5 * math.sqrt(0.5) * z[MAX_LEVEL_CAP + 1]
 
 
 def test_memoization_returns_identical_value_without_new_draws():
@@ -129,10 +138,16 @@ def test_deterministic_oracle_fills_bisection_ancestors():
     assert [str(s) for s in oracle.skeleton.sites] == [
         "0/2^0", "1/2^2", "3/2^3", "1/2^1", "1/2^0",
     ]
+    # ancestors are filled by a loop, so the deepest level has no recursion limit
+    deep = DeterministicOracle(lambda t: t)
+    assert deep.evaluate(DyadicPoint(1, MAX_LEVEL_CAP)) == 2.0**-1023
+    assert deep.skeleton.n == MAX_LEVEL_CAP + 1
+    with pytest.raises(DepthExceededError):
+        deep.evaluate(DyadicPoint(1, MAX_LEVEL_CAP + 1))
 
 
 def test_oracle_with_only_evaluate_can_be_searched():
-    # PathOracle.split falls back to evaluate(midpoint, hint=j)
+    # PathOracle.split falls back to evaluate(gap_midpoint(j))
     def fn(t):
         return (t - 1.0 / 3.0) ** 2 - 1.0 / 9.0
 
@@ -141,8 +156,8 @@ def test_oracle_with_only_evaluate_can_be_searched():
             self.inner = DeterministicOracle(fn)
             self.skeleton = self.inner.skeleton
 
-        def evaluate(self, t, hint=None):
-            return self.inner.evaluate(t, hint)
+        def evaluate(self, t):
+            return self.inner.evaluate(t)
 
     config = MinimizerConfig(lam=1.0, max_steps=40)
     assert run(EvaluateOnly(), config)[1] == run(DeterministicOracle(fn), config)[1]
