@@ -157,6 +157,9 @@ def main(argv: list[str] | None = None) -> int:
     except DepthExceededError as exc:
         print(f"brownmin: bisection depth exceeded: {exc}", file=sys.stderr)
         return 3
+    except FloatingPointError as exc:
+        print(f"brownmin: non-finite split score: {exc}", file=sys.stderr)
+        return 3
     except OSError as exc:
         print(f"brownmin: {exc}", file=sys.stderr)
         return 3

@@ -22,6 +22,9 @@ MAX_LEVEL_CAP = 1023
 GAP_LENGTH = np.array([2.0 ** -level for level in range(MAX_LEVEL_CAP + 1)])
 MIDPOINT_SD = 0.5 * np.sqrt(GAP_LENGTH)
 GAP_LENGTH.flags.writeable = MIDPOINT_SD.flags.writeable = False
+# the same doubles as Python floats, for scalar reads on the per-step path
+_GAP_LENGTHS = tuple(GAP_LENGTH.tolist())
+_MIDPOINT_SDS = tuple(MIDPOINT_SD.tolist())
 
 
 class DepthExceededError(RuntimeError):
@@ -144,19 +147,30 @@ class Skeleton:
     and ``MIDPOINT_SD``.  Splitting gap j puts the new site (2k+1)/2^(L+1)
     at index j without any search.  The running minimum of the values and
     the smallest gap are maintained incrementally.
+
+    Each array has a memoryview of its buffer next to it, made again
+    whenever the buffer doubles.  Splits shift, store and read single
+    entries through the memoryviews: a slice assignment through one is a
+    single memmove, where numpy copies an overlapping slice through a
+    temporary buffer, and an indexed read gives a Python float or int.
     """
 
-    __slots__ = ("_values", "_gap_levels", "_gap_nums", "_count",
-                 "_min_value", "_tau_level")
+    __slots__ = ("_values", "_gap_levels", "_value_view", "_level_view",
+                 "_gap_nums", "_count", "_min_value", "_tau_level")
 
     def __init__(self, capacity: int = 64):
         capacity = max(capacity, 8)
         self._values = np.zeros(capacity)
         self._gap_levels = np.zeros(capacity, dtype=np.int16)
+        self._make_views()
         self._gap_nums: list[int] = []
         self._count = 1
         self._min_value = 0.0
         self._tau_level: int | None = None
+
+    def _make_views(self) -> None:
+        self._value_view = memoryview(self._values)
+        self._level_view = memoryview(self._gap_levels)
 
     @property
     def n(self) -> int:
@@ -177,7 +191,7 @@ class Skeleton:
     @property
     def tau(self) -> float:
         """Smallest gap between consecutive sites, exact as a float."""
-        return GAP_LENGTH.item(self.tau_level)
+        return _GAP_LENGTHS[self.tau_level]
 
     def site(self, i: int) -> DyadicPoint:
         """The i-th site in increasing order (0-based)."""
@@ -187,7 +201,7 @@ class Skeleton:
             return ZERO
         if i == self._count - 1:
             return ONE
-        return DyadicPoint(self._gap_nums[i], self._gap_levels.item(i))
+        return DyadicPoint(self._gap_nums[i], self._level_view[i])
 
     @property
     def sites(self) -> list[DyadicPoint]:
@@ -212,7 +226,7 @@ class Skeleton:
         """Exact midpoint of gap j (1-based, between sites j-1 and j)."""
         if not 1 <= j < self._count:
             raise IndexError(f"gap index {j} out of range")
-        return _canonical(2 * self._gap_nums[j - 1] + 1, self._gap_levels.item(j - 1) + 1)
+        return _canonical(2 * self._gap_nums[j - 1] + 1, self._level_view[j - 1] + 1)
 
     def site_floats(self) -> np.ndarray:
         return np.array([float(s) for s in self.sites])
@@ -251,7 +265,7 @@ class Skeleton:
             raise ValueError(f"site {t} outside the covered interval")
         # the only canonical dyadic of level L+1 strictly inside a gap of
         # length 1/2^L is its midpoint
-        if t.level != self._gap_levels.item(j - 1) + 1:
+        if t.level != self._level_view[j - 1] + 1:
             raise ValueError(
                 f"site {t} is not the midpoint of gap ({self.site(j - 1)}, {self.site(j)})"
             )
@@ -286,14 +300,15 @@ class Skeleton:
         if not 1 <= j < count:
             raise IndexError(f"gap index {j} out of range")
         g = j - 1
-        levels = self._gap_levels
-        level = levels.item(g) + 1
+        level = self._level_view[g] + 1
         if level > MAX_LEVEL_CAP:
             raise DepthExceededError(f"splitting gap {j} needs level {level} > {MAX_LEVEL_CAP}")
         if count == len(self._values):
             self._values = np.concatenate([self._values, np.zeros(count)])
-            levels = self._gap_levels = np.concatenate([levels, np.zeros_like(levels)])
-        values = self._values
+            self._gap_levels = np.concatenate([self._gap_levels, np.zeros_like(self._gap_levels)])
+            self._make_views()
+        values = self._value_view
+        levels = self._level_view
         values[j + 1 : count + 1] = values[j:count]
         values[j] = value
         levels[j + 1 : count] = levels[j : count - 1]

@@ -271,12 +271,14 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> list[ErrorEstimate
     equidistant replications over the whole n grid.  Output does not
     depend on the worker count.  Replications that exceed the bisection
     depth cap are dropped and counted in the estimates they would have
-    contributed to.
+    contributed to.  Fewer than one worker raises ValueError.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     estimates: list[ErrorEstimate] = []
     reps = range(plan.replications)
     if plan.algorithm == ADAPTIVE:
-        rows = min(math.ceil(plan.replications / max(workers, 1)),
+        rows = min(math.ceil(plan.replications / workers),
                    max(1, _BLOCK_ENTRIES // max(plan.n_grid)))
         blocks = [reps[lo : lo + rows] for lo in range(0, plan.replications, rows)]
         for lam in plan.lambdas:

@@ -19,7 +19,11 @@ gaps with the same float expression as :func:`split_scores`, shifts the
 rest like the skeleton's values, and calls split_scores for a full rescore
 only when m or tau moved.  The scores are bit for bit those of a full
 recomputation; one argmax per step gives both the largest score of the
-new state and the gap the next step splits.
+new state and the gap the next step splits.  The shift and the two new
+scores go through a memoryview of the score buffer, as the skeleton's
+shifts do.  A largest score that is NaN or infinite (a path with
+non-finite values) raises FloatingPointError: argmax returns the first
+NaN, so checking the chosen score covers the whole array.
 
 :func:`search_block` runs R searches on Brownian paths in lockstep, one
 row per path, so that a step's Python overhead is paid once per block.
@@ -39,7 +43,6 @@ and every final value agrees bit for bit.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -52,6 +55,7 @@ from .dyadic import (
     MIDPOINT_SD,
     ONE,
     MAX_LEVEL_CAP,
+    _GAP_LENGTHS,
     DepthExceededError,
     DyadicPoint,
     Skeleton,
@@ -123,7 +127,7 @@ class MinimizerState:
     """
 
     __slots__ = ("skeleton", "max_scaled_increment", "next_split", "rho_max",
-                 "_scores", "_lam", "_shift", "_n")
+                 "_scores", "_score_view", "_lam", "_shift", "_n")
 
     def __init__(self, skeleton: Skeleton):
         self.skeleton = skeleton
@@ -131,6 +135,7 @@ class MinimizerState:
         self.next_split = 1
         self.rho_max = math.nan
         self._scores = np.zeros(len(skeleton._values))
+        self._score_view = memoryview(self._scores)
         self._lam = math.nan  # lam and M_n - off behind the current scores
         self._shift = math.nan
         self._n = skeleton.n
@@ -217,7 +222,7 @@ def step(state: MinimizerState, oracle: PathOracle, config: MinimizerConfig) -> 
         raise ValueError("the state's skeleton was changed outside step")
     j = state.next_split
     g = j - 1
-    level = skel._gap_levels.item(g) + 1
+    level = skel._level_view[g] + 1
     if level > config.level_cap:
         raise DepthExceededError(
             f"midpoint of ({skel.site(g)}, {skel.site(j)}) needs level {level} "
@@ -228,10 +233,10 @@ def step(state: MinimizerState, oracle: PathOracle, config: MinimizerConfig) -> 
     value = oracle.split(j)
     n = state._n = skel._count - 1
 
-    values = skel._values
-    a = values.item(g)
-    b = values.item(j + 1)
-    half = GAP_LENGTH.item(level)
+    values = skel._value_view
+    a = values[g]
+    b = values[j + 1]
+    half = _GAP_LENGTHS[level]
     increment = max(abs(value - a), abs(b - value)) / math.sqrt(half)
     if increment > state.max_scaled_increment:
         state.max_scaled_increment = np.float64(increment)
@@ -239,18 +244,23 @@ def step(state: MinimizerState, oracle: PathOracle, config: MinimizerConfig) -> 
     scores = state._scores
     if n > len(scores):
         scores = state._scores = np.concatenate([scores, np.zeros(len(scores))])
+        state._score_view = memoryview(scores)
+    view = state._score_view
     if value < m_old or level > tau_old or config.lam != state._lam:
         scores[:n] = split_scores(state, config.lam)
         state._lam = config.lam
         state._shift = _score_shift(skel, config.lam)
     else:
-        scores[j + 1 : n] = scores[j : n - 1]
-        scores[g] = _score(half, a, value, state._shift)
-        scores[j] = _score(half, value, b, state._shift)
+        view[j + 1 : n] = view[j : n - 1]
+        view[g] = _score(half, a, value, state._shift)
+        view[j] = _score(half, value, b, state._shift)
 
-    current = scores[:n]
-    state.next_split = select_split(current)
-    rho_max = state.rho_max = current.item(state.next_split - 1)
+    next_split = select_split(scores[:n])
+    rho_max = view[next_split - 1]
+    if not math.isfinite(rho_max):
+        raise FloatingPointError(f"split score {rho_max!r} of gap {next_split} at n={n}")
+    state.next_split = next_split
+    state.rho_max = rho_max
     site = _canonical(skel._gap_nums[j], level)
     return StepTrace(n, j, site, value, skel._min_value, skel._tau_level,
                      rho_max, math.exp(-2.0 / rho_max))
@@ -292,7 +302,8 @@ def search_block(normals: np.ndarray, lam: float, level_cap: int,
     :class:`~brownmin.oracle.BrownianOracle` does; M_n is recorded at each
     n in ``record``.  A row that needs a split deeper than ``level_cap``
     is marked in ``capped`` where the per-path search raises
-    DepthExceededError.
+    DepthExceededError.  A non-finite largest score in any row raises
+    FloatingPointError, as :func:`step` does.
     """
     normals = np.asarray(normals, dtype=float)
     if normals.ndim != 2:
@@ -355,9 +366,11 @@ def search_block(normals: np.ndarray, lam: float, level_cap: int,
                                        right[moved, :n], c[moved, None])
         if n in column:
             m_n[:, column[n]] = m
+        current = scores[:, :n]
+        split = current.argmax(axis=1)
+        if not np.isfinite(scores[rows, split]).all():
+            raise FloatingPointError(f"non-finite split score at n={n}")
         if n < n_max:
-            current = scores[:, :n]
-            split = current.argmax(axis=1)
             last = n - 1 - current[:, ::-1].argmax(axis=1)
             for r in np.flatnonzero(split != last):
                 split[r] = _leftmost_largest(scores[r, :n], links[r, :n], split[r])
@@ -386,8 +399,7 @@ def _leftmost_largest(scores: np.ndarray, links: np.ndarray, first: int) -> int:
     return slot
 
 
-@dataclass(frozen=True)
-class ScoreBoundCheck:
+class ScoreBoundCheck(NamedTuple):
     """Both sides of the conditional score bound at one state.
 
     When the scaled increments of the observed path stay below
@@ -405,11 +417,12 @@ class ScoreBoundCheck:
 
 def check_score_bound(state: MinimizerState, config: MinimizerConfig) -> ScoreBoundCheck:
     """Evaluate the conditional bound on the current state (n >= 2)."""
-    n = state.skeleton.n
+    skel = state.skeleton
+    n = skel._count - 1
     if n < 2:
         raise ValueError("score bound check needs n >= 2")
     increment_bound = math.sqrt(config.lam * math.log(n) / 4.0)
-    score_bound = 2.0 / (config.lam * math.log(1.0 / state.skeleton.tau))
+    score_bound = 2.0 / (config.lam * math.log(1.0 / _GAP_LENGTHS[skel._tau_level]))
     rho_max = state.rho_max
     applicable = state.max_scaled_increment <= increment_bound
     if applicable and rho_max > score_bound:
@@ -417,14 +430,8 @@ def check_score_bound(state: MinimizerState, config: MinimizerConfig) -> ScoreBo
             f"score bound violated at n={n}: rho_max={rho_max!r} > {score_bound!r} "
             f"while increments {state.max_scaled_increment!r} <= {increment_bound!r}"
         )
-    return ScoreBoundCheck(
-        n=n,
-        max_scaled_increment=state.max_scaled_increment,
-        increment_bound=increment_bound,
-        rho_max=rho_max,
-        score_bound=score_bound,
-        applicable=applicable,
-    )
+    return ScoreBoundCheck(n, state.max_scaled_increment, increment_bound, rho_max,
+                           score_bound, applicable)
 
 
 def write_trace_csv(traces: list[StepTrace], path, deltas: np.ndarray | None = None) -> None:
@@ -433,27 +440,21 @@ def write_trace_csv(traces: list[StepTrace], path, deltas: np.ndarray | None = N
     Columns: n, t_exact, t_float, value, M_n, tau_level, rho_max,
     undershoot_max, plus delta_n when ``deltas`` (one value per row) is
     given.  Floats carry 17 significant digits so they round-trip exactly.
+    Lines end in "\r\n" and no field needs quoting, so the bytes are
+    those of ``csv.writer``.
     """
-    header = ["n", "t_exact", "t_float", "value", "M_n", "tau_level",
-              "rho_max", "undershoot_max"]
-    if deltas is not None:
+    header = "n,t_exact,t_float,value,M_n,tau_level,rho_max,undershoot_max"
+    row = "%d,%s,%.17g,%.17g,%.17g,%d,%.17g,%.17g"
+    if deltas is None:
+        lines = [row % (tr.n, tr.site, float(tr.site), tr.value, tr.m_n, tr.tau_level,
+                        tr.rho_max, tr.undershoot_max) for tr in traces]
+    else:
         if len(deltas) != len(traces):
             raise ValueError("need one delta per trace row")
-        header.append("delta_n")
+        header += ",delta_n"
+        row += ",%.17g"
+        lines = [row % (tr.n, tr.site, float(tr.site), tr.value, tr.m_n, tr.tau_level,
+                        tr.rho_max, tr.undershoot_max, delta)
+                 for tr, delta in zip(traces, deltas)]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i, tr in enumerate(traces):
-            row = [
-                str(tr.n),
-                str(tr.site),
-                f"{float(tr.site):.17g}",
-                f"{tr.value:.17g}",
-                f"{tr.m_n:.17g}",
-                str(tr.tau_level),
-                f"{tr.rho_max:.17g}",
-                f"{tr.undershoot_max:.17g}",
-            ]
-            if deltas is not None:
-                row.append(f"{float(deltas[i]):.17g}")
-            writer.writerow(row)
+        fh.write("\r\n".join([header, *lines, ""]))

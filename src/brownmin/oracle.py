@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dyadic import MIDPOINT_SD, ONE, ZERO, DyadicPoint, Skeleton
+from .dyadic import _MIDPOINT_SDS, ONE, ZERO, DyadicPoint, Skeleton
 from .rng import RngStream
 
 
@@ -80,9 +80,10 @@ class BrownianOracle(PathOracle):
         # midpoint of a gap of level L between values a and b: mean
         # (a + b)/2 and standard deviation MIDPOINT_SD[L] = sqrt(2^-L)/2
         skel = self.skeleton
-        a = skel._values.item(j - 1)
-        b = skel._values.item(j)
-        sd = MIDPOINT_SD.item(skel._gap_levels.item(j - 1))
+        values = skel._value_view
+        a = values[j - 1]
+        b = values[j]
+        sd = _MIDPOINT_SDS[skel._level_view[j - 1]]
         value = a + 0.5 * (b - a) + sd * self._normal()
         skel.split(j, value)
         return value

@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from brownmin import cli
 from brownmin.cli import main
 
 
@@ -175,3 +176,15 @@ def test_unwritable_output_is_a_runtime_error(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("brownmin: ") and err.count("\n") == 1
     assert str(out) in err
+
+
+def test_non_finite_score_is_a_runtime_error(monkeypatch, tmp_path, capsys):
+    def refuse(oracle, config):
+        raise FloatingPointError("split score nan of gap 1 at n=2")
+
+    monkeypatch.setattr(cli, "run", refuse)
+    out = tmp_path / "x.csv"
+    assert main(SIMULATE + ["--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("brownmin: ") and err.count("\n") == 1
+    assert not out.exists()

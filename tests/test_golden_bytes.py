@@ -19,11 +19,20 @@ def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+# steps -> SHA-256 of the simulate CSV; 16 000 steps is the benchmark's
+# deep-path job, whose buffers grow and shift by thousands of entries
+SIMULATE_SHA256 = {
+    2000: "a0178df625e55130aebc75e1ef7276c4328e76e1e82b3ee57f7abf1866c81333",
+    16000: "b72f163280a8c15fc1e9623d6a78662571e981d8b3b35841a44927d69d997e80",
+}
+
+
 def test_simulate_csv_bytes(tmp_path):
-    out = tmp_path / "trace.csv"
-    assert main(["simulate", "--lambda", "1", "--steps", "2000", "--seed", str(SEED),
-                 "--out", str(out)]) == 0
-    assert _sha256(out) == "a0178df625e55130aebc75e1ef7276c4328e76e1e82b3ee57f7abf1866c81333"
+    for steps, digest in SIMULATE_SHA256.items():
+        out = tmp_path / f"trace_{steps}.csv"
+        assert main(["simulate", "--lambda", "1", "--steps", str(steps), "--seed", str(SEED),
+                     "--out", str(out)]) == 0
+        assert _sha256(out) == digest, steps
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

@@ -221,6 +221,9 @@ def test_run_experiment_shape_and_worker_independence():
     parallel = run_experiment(plan, workers=2)
     assert serial == parallel
     assert run_experiment(plan, workers=3) == serial  # blocks of 3, 3 and 2
+    for workers in (0, -5):
+        with pytest.raises(ValueError):
+            run_experiment(plan, workers=workers)
 
 
 def test_pool_size_is_bounded_by_tasks_and_cpus(monkeypatch):
@@ -294,6 +297,17 @@ def test_search_block_validation():
                  (normals, 1.0, 1000, (9,))):
         with pytest.raises(ValueError):
             search_block(*args)
+
+
+@pytest.mark.parametrize("column", [40, 63])
+def test_search_block_refuses_a_non_finite_score(column):
+    # one NaN normal gives one NaN value, whose two gaps score NaN; a NaN
+    # in the last column shows only in the final state
+    normals = np.random.default_rng(3).standard_normal((4, 64))
+    search_block(normals, 1.0, 1000, (64,))
+    normals[2, column] = math.nan
+    with pytest.raises(FloatingPointError):
+        search_block(normals, 1.0, 1000, (64,))
 
 
 def test_run_experiment_equidistant():

@@ -1,5 +1,6 @@
 import bisect
 import csv
+import io
 import math
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 from brownmin.dyadic import ONE, ZERO, DepthExceededError, DyadicPoint
 from brownmin.minimizer import (
     MinimizerConfig,
+    StepTrace,
     check_score_bound,
     init_state,
     run,
@@ -312,6 +314,14 @@ def test_scores_match_quadrature():
             assert abs(val - scores[i]) <= 1e-9 * scores[i]
 
 
+def test_non_finite_path_is_refused():
+    # every value after f(0) is NaN, so every score is NaN from n = 2 on
+    oracle = DeterministicOracle(lambda t: math.nan if t > 0 else 0.0)
+    with pytest.raises(FloatingPointError):
+        run(oracle, MinimizerConfig(lam=1.0, max_steps=10))
+    assert oracle.skeleton.n == 2
+
+
 def test_level_cap_propagates():
     oracle = DeterministicOracle(lambda t: 0.0)
     config = MinimizerConfig(lam=1.0, max_steps=9, level_cap=3)
@@ -355,3 +365,35 @@ def test_trace_csv_with_deltas(tmp_path):
     assert got == list(deltas)
     with pytest.raises(ValueError):
         write_trace_csv(traces, out, deltas=deltas[:-1])
+
+
+def _csv_writer_bytes(traces, deltas=None) -> bytes:
+    # the rows as csv.writer renders them, each field formatted on its own
+    header = ["n", "t_exact", "t_float", "value", "M_n", "tau_level",
+              "rho_max", "undershoot_max"]
+    rows = [header + ([] if deltas is None else ["delta_n"])]
+    for i, tr in enumerate(traces):
+        row = [str(tr.n), str(tr.site), f"{float(tr.site):.17g}", f"{tr.value:.17g}",
+               f"{tr.m_n:.17g}", str(tr.tau_level), f"{tr.rho_max:.17g}",
+               f"{tr.undershoot_max:.17g}"]
+        if deltas is not None:
+            row.append(f"{float(deltas[i]):.17g}")
+        rows.append(row)
+    buffer = io.StringIO(newline="")
+    csv.writer(buffer).writerows(rows)
+    return buffer.getvalue().encode()
+
+
+def test_trace_csv_bytes_equal_csv_writer(tmp_path):
+    _, traces = run(BrownianOracle(RngStream(19, 19)), MinimizerConfig(lam=1.0, max_steps=300))
+    deltas = np.array([tr.m_n for tr in traces]) + 0.5
+    # floats whose formatting is easy to get wrong: signed zero, the
+    # smallest subnormal, a huge value, nan and both infinities
+    odd = [StepTrace(n, 1, DyadicPoint(1, 1023), value, -0.0, 1023, math.inf, 1.0)
+           for n, value in enumerate([5e-324, -1e308, math.nan, -math.inf], start=2)]
+    odd_deltas = np.array([0.0, -0.0, math.nan, 2.0 ** -1074])
+    out = tmp_path / "trace.csv"
+    for rows, row_deltas in ((traces, deltas), (traces, None), (traces[:1], deltas[:1]),
+                             (traces[:1], None), (odd, odd_deltas), ([], None)):
+        write_trace_csv(rows, out, deltas=row_deltas)
+        assert out.read_bytes() == _csv_writer_bytes(rows, row_deltas)
