@@ -82,15 +82,24 @@ def segment_minima(
 ) -> np.ndarray:
     """Vectorised bridge-minimum sampling over consecutive segments.
 
-    ``values`` holds n+1 endpoint values, ``lengths`` the n segment lengths
-    and ``uniforms`` n draws in (0, 1].  Returns the n sampled minima.
+    ``values`` holds n+1 finite endpoint values, ``lengths`` the n segment
+    lengths, positive and finite, and ``uniforms`` n draws in (0, 1], as
+    :class:`BridgeSegment` and :func:`bridge_min_sample` require.  Returns
+    the n sampled minima.
     """
     values = np.asarray(values, dtype=float)
     lengths = np.asarray(lengths, dtype=float)
     uniforms = np.asarray(uniforms, dtype=float)
     if len(values) != len(lengths) + 1 or len(uniforms) != len(lengths):
         raise ValueError("need n+1 values, n lengths and n uniforms")
-    if np.any(uniforms <= 0.0) or np.any(uniforms > 1.0):
+    if not len(lengths):
+        return np.empty(0)
+    # min and max propagate NaN, which fails every comparison below
+    if not (-math.inf < values.min() and values.max() < math.inf):
+        raise ValueError("segment endpoint values must be finite")
+    if not (0.0 < lengths.min() and lengths.max() < math.inf):
+        raise ValueError("segment lengths must be positive and finite")
+    if not (0.0 < uniforms.min() and uniforms.max() <= 1.0):
         raise ValueError("uniforms must lie in (0, 1]")
     a = values[:-1]
     b = values[1:]

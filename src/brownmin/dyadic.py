@@ -9,6 +9,8 @@ and output only.
 from __future__ import annotations
 
 import bisect
+from array import array
+
 import numpy as np
 
 DEFAULT_LEVEL_CAP = 1000
@@ -148,34 +150,26 @@ class Skeleton:
     at index j without any search.  The running minimum of the values and
     the smallest gap are maintained incrementally.
 
-    Each array has a memoryview of its buffer next to it, made again
-    whenever the buffer doubles.  Splits shift, store and read single
-    entries through the memoryviews: a slice assignment through one is a
-    single memmove, where numpy copies an overlapping slice through a
-    temporary buffer, and an indexed read gives a Python float or int.
+    Values and levels are ``array.array`` buffers holding exactly their
+    entries: a split is one ``insert`` (a single memmove) per buffer, and
+    an indexed read gives a Python float or int.  The numpy properties
+    return copies, so no view of a buffer outlives the statement that
+    makes it; while one is exported, ``insert`` raises BufferError.
     """
 
-    __slots__ = ("_values", "_gap_levels", "_value_view", "_level_view",
-                 "_gap_nums", "_count", "_min_value", "_tau_level")
+    __slots__ = ("_values", "_gap_levels", "_gap_nums", "_min_value", "_tau_level")
 
-    def __init__(self, capacity: int = 64):
-        capacity = max(capacity, 8)
-        self._values = np.zeros(capacity)
-        self._gap_levels = np.zeros(capacity, dtype=np.int16)
-        self._make_views()
+    def __init__(self):
+        self._values = array("d", [0.0])
+        self._gap_levels = array("h")
         self._gap_nums: list[int] = []
-        self._count = 1
         self._min_value = 0.0
         self._tau_level: int | None = None
-
-    def _make_views(self) -> None:
-        self._value_view = memoryview(self._values)
-        self._level_view = memoryview(self._gap_levels)
 
     @property
     def n(self) -> int:
         """Number of evaluations, not counting the fixed site 0."""
-        return self._count - 1
+        return len(self._values) - 1
 
     @property
     def min_value(self) -> float:
@@ -195,54 +189,55 @@ class Skeleton:
 
     def site(self, i: int) -> DyadicPoint:
         """The i-th site in increasing order (0-based)."""
-        if not 0 <= i < self._count:
+        count = len(self._values)
+        if not 0 <= i < count:
             raise IndexError(f"site index {i} out of range")
         if i == 0:
             return ZERO
-        if i == self._count - 1:
+        if i == count - 1:
             return ONE
-        return DyadicPoint(self._gap_nums[i], self._level_view[i])
+        return DyadicPoint(self._gap_nums[i], self._gap_levels[i])
 
     @property
     def sites(self) -> list[DyadicPoint]:
-        return [self.site(i) for i in range(self._count)]
+        return [self.site(i) for i in range(len(self._values))]
 
     @property
     def values(self) -> np.ndarray:
-        """View of the observed values in site order; treat as read only."""
-        return self._values[: self._count]
+        """Copy of the observed values in site order."""
+        return np.array(self._values)
 
     @property
     def gap_lengths(self) -> np.ndarray:
         """Consecutive gap lengths 1/2^L, exact."""
-        return GAP_LENGTH[self._gap_levels[: self._count - 1]]
+        return GAP_LENGTH[np.array(self._gap_levels)]
 
     @property
     def gap_levels(self) -> np.ndarray:
         """Copy of the gap levels L (gap i has length 1/2^L)."""
-        return self._gap_levels[: self._count - 1].astype(np.int64)
+        return np.array(self._gap_levels, dtype=np.int64)
 
     def gap_midpoint(self, j: int) -> DyadicPoint:
         """Exact midpoint of gap j (1-based, between sites j-1 and j)."""
-        if not 1 <= j < self._count:
+        if not 1 <= j < len(self._values):
             raise IndexError(f"gap index {j} out of range")
-        return _canonical(2 * self._gap_nums[j - 1] + 1, self._level_view[j - 1] + 1)
+        return _canonical(2 * self._gap_nums[j - 1] + 1, self._gap_levels[j - 1] + 1)
 
     def site_floats(self) -> np.ndarray:
         return np.array([float(s) for s in self.sites])
 
     def __len__(self) -> int:
-        return self._count
+        return len(self._values)
 
     def __contains__(self, t: DyadicPoint) -> bool:
         return self.index_of(t) is not None
 
     def _search(self, t: DyadicPoint) -> int:
-        return bisect.bisect_left(range(self._count), t, key=self.site)
+        return bisect.bisect_left(range(len(self._values)), t, key=self.site)
 
     def index_of(self, t: DyadicPoint) -> int | None:
         i = self._search(t)
-        if i < self._count and self.site(i) == t:
+        if i < len(self._values) and self.site(i) == t:
             return i
         return None
 
@@ -250,7 +245,7 @@ class Skeleton:
         i = self.index_of(t)
         if i is None:
             raise KeyError(f"site {t} not in skeleton")
-        return float(self._values[i])
+        return self._values[i]
 
     def locate(self, t: DyadicPoint) -> int:
         """1-based index of the gap whose midpoint is ``t``.
@@ -259,13 +254,14 @@ class Skeleton:
         covered interval or is not the midpoint of its gap.
         """
         j = self._search(t)
-        if j < self._count and self.site(j) == t:
+        count = len(self._values)
+        if j < count and self.site(j) == t:
             raise ValueError(f"duplicate site {t}")
-        if j == 0 or j == self._count:
+        if j == 0 or j == count:
             raise ValueError(f"site {t} outside the covered interval")
         # the only canonical dyadic of level L+1 strictly inside a gap of
         # length 1/2^L is its midpoint
-        if t.level != self._level_view[j - 1] + 1:
+        if t.level != self._gap_levels[j - 1] + 1:
             raise ValueError(
                 f"site {t} is not the midpoint of gap ({self.site(j - 1)}, {self.site(j)})"
             )
@@ -279,15 +275,15 @@ class Skeleton:
         then split.
         """
         value = float(value)
-        if self._count > 1:
+        if len(self._values) > 1:
             j = self.locate(t)
             self.split(j, value)
             return j
         if t != ONE:
             raise ValueError(f"first inserted site must be 1, got {t}")
-        self._values[1] = value
+        self._values.append(value)
+        self._gap_levels.append(0)
         self._gap_nums.append(0)
-        self._count = 2
         self._min_value = min(self._min_value, value)
         self._tau_level = 0
         return 1
@@ -296,28 +292,20 @@ class Skeleton:
         """Insert ``value`` at the midpoint of gap j (1-based); the new site
         gets index j and the two halves become gaps j and j+1.  Halves
         deeper than MAX_LEVEL_CAP raise DepthExceededError."""
-        count = self._count
-        if not 1 <= j < count:
+        values = self._values
+        if not 1 <= j < len(values):
             raise IndexError(f"gap index {j} out of range")
         g = j - 1
-        level = self._level_view[g] + 1
+        levels = self._gap_levels
+        level = levels[g] + 1
         if level > MAX_LEVEL_CAP:
             raise DepthExceededError(f"splitting gap {j} needs level {level} > {MAX_LEVEL_CAP}")
-        if count == len(self._values):
-            self._values = np.concatenate([self._values, np.zeros(count)])
-            self._gap_levels = np.concatenate([self._gap_levels, np.zeros_like(self._gap_levels)])
-            self._make_views()
-        values = self._value_view
-        levels = self._level_view
-        values[j + 1 : count + 1] = values[j:count]
-        values[j] = value
-        levels[j + 1 : count] = levels[j : count - 1]
+        values.insert(j, value)
         levels[g] = level
-        levels[j] = level
+        levels.insert(j, level)
         k = self._gap_nums[g]
         self._gap_nums[g] = 2 * k
         self._gap_nums.insert(j, 2 * k + 1)
-        self._count = count + 1
         if value < self._min_value:
             self._min_value = value
         if level > self._tau_level:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -63,7 +64,10 @@ class ExperimentPlan:
 
     def __post_init__(self):
         object.__setattr__(self, "lambdas", tuple(float(l) for l in self.lambdas))
-        object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
+        # operator.index refuses floats such as 16.9 instead of truncating
+        object.__setattr__(self, "n_grid", tuple(operator.index(n) for n in self.n_grid))
+        for name in ("replications", "master_seed", "level_cap"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.algorithm not in (ADAPTIVE, EQUIDISTANT):
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.algorithm == ADAPTIVE and not self.lambdas:
@@ -223,12 +227,19 @@ def estimate_lp_error(deltas: np.ndarray, p: float) -> tuple[float, float]:
 
 
 def fit_rate(points: list[tuple[float, float]]) -> float:
-    """Least-squares slope of ln(error) against ln(n)."""
-    if len(points) < 2:
-        raise ValueError("need at least two points to fit a rate")
+    """Least-squares slope of ln(error) against ln(n).
+
+    Needs at least two distinct n, every n > 0 and every error > 0; a NaN
+    error (a cell whose replications were all dropped) is refused too.
+    """
     ns = np.array([float(n) for n, _ in points])
     errs = np.array([float(e) for _, e in points])
-    if np.any(errs <= 0.0):
+    if len(np.unique(ns)) < 2:
+        raise ValueError("need at least two distinct n to fit a rate")
+    # min propagates NaN, which fails both comparisons
+    if not ns.min() > 0.0:
+        raise ValueError("rate fit requires every n > 0")
+    if not errs.min() > 0.0:
         raise ValueError("rate fit requires strictly positive errors")
     slope, _ = np.polyfit(np.log(ns), np.log(errs), 1)
     return float(slope)
@@ -273,7 +284,7 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> list[ErrorEstimate
     depth cap are dropped and counted in the estimates they would have
     contributed to.  Fewer than one worker raises ValueError.
     """
-    if workers < 1:
+    if operator.index(workers) < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     estimates: list[ErrorEstimate] = []
     reps = range(plan.replications)

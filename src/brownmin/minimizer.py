@@ -19,11 +19,12 @@ gaps with the same float expression as :func:`split_scores`, shifts the
 rest like the skeleton's values, and calls split_scores for a full rescore
 only when m or tau moved.  The scores are bit for bit those of a full
 recomputation; one argmax per step gives both the largest score of the
-new state and the gap the next step splits.  The shift and the two new
-scores go through a memoryview of the score buffer, as the skeleton's
-shifts do.  A largest score that is NaN or infinite (a path with
-non-finite values) raises FloatingPointError: argmax returns the first
-NaN, so checking the chosen score covers the whole array.
+new state and the gap the next step splits.  The scores sit in an
+``array.array`` in site order, like the skeleton's values, so the two
+new scores are one store and one insert.  A largest score that is NaN or
+infinite (a path with non-finite values) raises FloatingPointError:
+argmax returns the first NaN, so checking the chosen score covers the
+whole array.
 
 :func:`search_block` runs R searches on Brownian paths in lockstep, one
 row per path, so that a step's Python overhead is paid once per block.
@@ -44,6 +45,8 @@ and every final value agrees bit for bit.
 from __future__ import annotations
 
 import math
+import operator
+from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -86,6 +89,9 @@ class MinimizerConfig:
     level_cap: int = DEFAULT_LEVEL_CAP
 
     def __post_init__(self):
+        # operator.index refuses floats such as 2.5 instead of truncating
+        object.__setattr__(self, "max_steps", operator.index(self.max_steps))
+        object.__setattr__(self, "level_cap", operator.index(self.level_cap))
         if not (math.isfinite(self.lam) and self.lam >= 1.0):
             raise ValueError(f"lam must be finite and >= 1, got {self.lam}")
         if self.max_steps < 2:
@@ -127,15 +133,14 @@ class MinimizerState:
     """
 
     __slots__ = ("skeleton", "max_scaled_increment", "next_split", "rho_max",
-                 "_scores", "_score_view", "_lam", "_shift", "_n")
+                 "_scores", "_lam", "_shift", "_n")
 
     def __init__(self, skeleton: Skeleton):
         self.skeleton = skeleton
         self.max_scaled_increment = np.float64(0.0)
         self.next_split = 1
         self.rho_max = math.nan
-        self._scores = np.zeros(len(skeleton._values))
-        self._score_view = memoryview(self._scores)
+        self._scores = array("d")
         self._lam = math.nan  # lam and M_n - off behind the current scores
         self._shift = math.nan
         self._n = skeleton.n
@@ -154,8 +159,8 @@ class MinimizerState:
 
     @property
     def scores(self) -> np.ndarray:
-        """View of the split scores, one per gap; the next step overwrites it."""
-        return self._scores[: self._n]
+        """Copy of the split scores, one per gap."""
+        return np.array(self._scores)
 
 
 def _score_shift(skel: Skeleton, lam: float) -> float:
@@ -218,11 +223,12 @@ def step(state: MinimizerState, oracle: PathOracle, config: MinimizerConfig) -> 
     split_scores.
     """
     skel = state.skeleton
-    if oracle.skeleton is not skel or skel._count - 1 != state._n:
+    values = skel._values
+    if oracle.skeleton is not skel or len(values) - 1 != state._n:
         raise ValueError("the state's skeleton was changed outside step")
     j = state.next_split
     g = j - 1
-    level = skel._level_view[g] + 1
+    level = skel._gap_levels[g] + 1
     if level > config.level_cap:
         raise DepthExceededError(
             f"midpoint of ({skel.site(g)}, {skel.site(j)}) needs level {level} "
@@ -231,9 +237,8 @@ def step(state: MinimizerState, oracle: PathOracle, config: MinimizerConfig) -> 
     m_old = skel._min_value
     tau_old = skel._tau_level
     value = oracle.split(j)
-    n = state._n = skel._count - 1
+    n = state._n = len(values) - 1
 
-    values = skel._value_view
     a = values[g]
     b = values[j + 1]
     half = _GAP_LENGTHS[level]
@@ -241,22 +246,17 @@ def step(state: MinimizerState, oracle: PathOracle, config: MinimizerConfig) -> 
     if increment > state.max_scaled_increment:
         state.max_scaled_increment = np.float64(increment)
 
-    scores = state._scores
-    if n > len(scores):
-        scores = state._scores = np.concatenate([scores, np.zeros(len(scores))])
-        state._score_view = memoryview(scores)
-    view = state._score_view
     if value < m_old or level > tau_old or config.lam != state._lam:
-        scores[:n] = split_scores(state, config.lam)
+        scores = state._scores = array("d", split_scores(state, config.lam).tobytes())
         state._lam = config.lam
         state._shift = _score_shift(skel, config.lam)
     else:
-        view[j + 1 : n] = view[j : n - 1]
-        view[g] = _score(half, a, value, state._shift)
-        view[j] = _score(half, value, b, state._shift)
+        scores = state._scores
+        scores[g] = _score(half, a, value, state._shift)
+        scores.insert(j, _score(half, value, b, state._shift))
 
-    next_split = select_split(scores[:n])
-    rho_max = view[next_split - 1]
+    next_split = select_split(np.frombuffer(scores))
+    rho_max = scores[next_split - 1]
     if not math.isfinite(rho_max):
         raise FloatingPointError(f"split score {rho_max!r} of gap {next_split} at n={n}")
     state.next_split = next_split
@@ -310,7 +310,7 @@ def search_block(normals: np.ndarray, lam: float, level_cap: int,
         raise ValueError("normals must be an (R, N) array")
     rows_count, n_max = normals.shape
     MinimizerConfig(lam=lam, max_steps=n_max, level_cap=level_cap)  # validates all three
-    record = [int(n) for n in record]
+    record = [operator.index(n) for n in record]
     if not all(2 <= n <= n_max for n in record):
         raise ValueError(f"recorded n must lie in [2, {n_max}], got {record}")
 
@@ -418,7 +418,7 @@ class ScoreBoundCheck(NamedTuple):
 def check_score_bound(state: MinimizerState, config: MinimizerConfig) -> ScoreBoundCheck:
     """Evaluate the conditional bound on the current state (n >= 2)."""
     skel = state.skeleton
-    n = skel._count - 1
+    n = len(skel._values) - 1
     if n < 2:
         raise ValueError("score bound check needs n >= 2")
     increment_bound = math.sqrt(config.lam * math.log(n) / 4.0)

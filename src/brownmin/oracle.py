@@ -45,19 +45,20 @@ class BrownianOracle(PathOracle):
     midpoint law.  Re-evaluating a known site never consumes randomness.
 
     The k-th new site uses the k-th normal of ``stream``.  The normals are
-    drawn from the stream in blocks (the first of ``capacity`` draws, then
-    doubling), so the stream may have advanced past the last normal used.
+    drawn from the stream in blocks, so the stream may have advanced past
+    the last normal used.  ``capacity`` sizes only the first block (at
+    least 8 draws); each later block doubles it.
     """
 
     def __init__(self, stream: RngStream, capacity: int = 64):
         self.stream = stream
-        self.skeleton = Skeleton(capacity=capacity)
+        self.skeleton = Skeleton()
         self._block = max(capacity, 8)
         self._normals: list[float] = []
 
     def _normal(self) -> float:
         # indexed by the site count, so a split the skeleton refuses uses none
-        k = self.skeleton._count - 1
+        k = len(self.skeleton._values) - 1
         while k >= len(self._normals):
             self._normals += self.stream.gaussians(self._block).tolist()
             self._block *= 2
@@ -67,7 +68,7 @@ class BrownianOracle(PathOracle):
         skel = self.skeleton
         existing = skel.index_of(t)
         if existing is not None:
-            return float(skel.values[existing])  # memoized, no new draw
+            return skel._values[existing]  # memoized, no new draw
         if skel.n > 0:
             return self.split(skel.locate(t))
         if t != ONE:
@@ -80,10 +81,10 @@ class BrownianOracle(PathOracle):
         # midpoint of a gap of level L between values a and b: mean
         # (a + b)/2 and standard deviation MIDPOINT_SD[L] = sqrt(2^-L)/2
         skel = self.skeleton
-        values = skel._value_view
+        values = skel._values
         a = values[j - 1]
         b = values[j]
-        sd = _MIDPOINT_SDS[skel._level_view[j - 1]]
+        sd = _MIDPOINT_SDS[skel._gap_levels[j - 1]]
         value = a + 0.5 * (b - a) + sd * self._normal()
         skel.split(j, value)
         return value
@@ -99,11 +100,11 @@ class DeterministicOracle(PathOracle):
     midpoint refinement.
     """
 
-    def __init__(self, fn: Callable[[float], float], capacity: int = 64):
+    def __init__(self, fn: Callable[[float], float]):
         if fn(0.0) != 0.0:
             raise ValueError("test function must satisfy f(0) = 0")
         self.fn = fn
-        self.skeleton = Skeleton(capacity=capacity)
+        self.skeleton = Skeleton()
 
     def evaluate(self, t: DyadicPoint) -> float:
         skel = self.skeleton
@@ -112,7 +113,7 @@ class DeterministicOracle(PathOracle):
         while True:
             i = skel._search(t)
             if skel.site(i) == t:
-                return float(skel.values[i])
+                return skel._values[i]
             self.split(i)  # gap i holds t strictly inside
 
     def split(self, j: int) -> float:

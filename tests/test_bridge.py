@@ -158,6 +158,21 @@ def test_segment_minima_validation():
         segment_minima([0.0, 1.0], [1.0], [0.0])
     with pytest.raises(ValueError):
         segment_minima([0.0, 1.0], [1.0], [1.2])
+    # what BridgeSegment and bridge_min_sample refuse one segment at a time
+    nan, inf = math.nan, math.inf
+    for values, lengths, uniforms in (
+        ([0.0, 1.0, 0.5], [0.5, 0.5], [0.5, nan]),
+        ([0.0, 1.0, 0.5], [0.5, 0.0], [0.5, 0.5]),
+        ([0.0, 1.0, 0.5], [0.5, -0.5], [0.5, 0.5]),
+        ([0.0, 1.0, 0.5], [nan, 0.5], [0.5, 0.5]),
+        ([0.0, 1.0, 0.5], [0.5, inf], [0.5, 0.5]),
+        ([0.0, nan, 0.5], [0.5, 0.5], [0.5, 0.5]),
+        ([0.0, 1.0, -inf], [0.5, 0.5], [0.5, 0.5]),
+        ([inf, 1.0, 0.5], [0.5, 0.5], [0.5, 0.5]),
+    ):
+        with pytest.raises(ValueError):
+            segment_minima(values, lengths, uniforms)
+    assert len(segment_minima([0.0], [], [])) == 0
 
 
 def test_stream_determinism():

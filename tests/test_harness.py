@@ -57,6 +57,15 @@ def test_plan_validation():
                 {"master_seed": -1}):
         with pytest.raises(ValueError):
             small_plan(**bad)
+    # a float is refused, not truncated: (16.9, 32) became (16, 32) and
+    # master_seed 1.5 ran as seed 1
+    for bad in ({"n_grid": (16.9, 32)}, {"n_grid": (4.0, 8)}, {"master_seed": 1.5},
+                {"replications": 2.5}, {"level_cap": 10.5}):
+        with pytest.raises(TypeError):
+            small_plan(**bad)
+    plan = small_plan(n_grid=np.array([4, 8]), replications=np.int64(6))
+    assert plan.n_grid == (4, 8) and type(plan.n_grid[0]) is int
+    assert type(plan.replications) is int
 
 
 def test_single_segment_inverse_cdf_example():
@@ -196,6 +205,11 @@ def test_fit_rate_examples():
         fit_rate([(4, 0.1)])
     with pytest.raises(ValueError):
         fit_rate([(4, 0.1), (16, 0.0)])
+    # each of these gave a NaN slope
+    for bad in ([(0, 0.1), (16, 0.05)], [(-4, 0.1), (16, 0.05)], [(4, 0.1), (4, 0.05)],
+                [(math.nan, 0.1), (16, 0.05)], [(4, math.nan), (16, 0.05)], []):
+        with pytest.raises(ValueError):
+            fit_rate(bad)
 
 
 def test_lambda_suggestion():
@@ -224,6 +238,8 @@ def test_run_experiment_shape_and_worker_independence():
     for workers in (0, -5):
         with pytest.raises(ValueError):
             run_experiment(plan, workers=workers)
+    with pytest.raises(TypeError):
+        run_experiment(plan, workers=1.5)
 
 
 def test_pool_size_is_bounded_by_tasks_and_cpus(monkeypatch):
@@ -279,7 +295,7 @@ def test_block_search_breaks_ties_like_the_per_path_search():
     # site order, which the block finds by walking its links
     steps = 300
     block = search_block(np.zeros((3, steps)), 1.0, 1000, (2, 50, steps))
-    state, traces = run(DeterministicOracle(lambda t: 0.0, capacity=steps + 2),
+    state, traces = run(DeterministicOracle(lambda t: 0.0),
                         MinimizerConfig(lam=1.0, max_steps=steps))
     skel = state.skeleton
     assert not block.capped.any()
@@ -296,6 +312,9 @@ def test_search_block_validation():
                  (normals, 1.0, 1, (8,)), (normals, 1.0, 1000, (1,)),
                  (normals, 1.0, 1000, (9,))):
         with pytest.raises(ValueError):
+            search_block(*args)
+    for args in ((normals, 1.0, 1000, (7.5,)), (normals, 1.0, 20.5, (8,))):
+        with pytest.raises(TypeError):
             search_block(*args)
 
 

@@ -61,6 +61,11 @@ def test_config_validation():
         with pytest.raises(ValueError):
             MinimizerConfig(lam=1.0, max_steps=10, level_cap=bad_cap)
     MinimizerConfig(lam=1.0, max_steps=2)
+    # a float is refused, not truncated (max_steps=2.5 used to run to n = 3)
+    for bad in ({"max_steps": 2.5}, {"max_steps": 10.0}, {"level_cap": 10.5}):
+        with pytest.raises(TypeError):
+            MinimizerConfig(**{"lam": 1.0, "max_steps": 10, **bad})
+    assert type(MinimizerConfig(lam=1.0, max_steps=np.int64(10)).max_steps) is int
     # 1/tau stays a finite double down to the deepest allowed level
     MinimizerConfig(lam=1.0, max_steps=2, level_cap=1023)
     assert math.isfinite(search_offset(2.0**-1023, 1.0))
@@ -177,6 +182,26 @@ def test_step_splits_leftmost_maximum():
         j = trace.split_index
         assert scores_before[j - 1] == scores_before.max()
         assert np.all(scores_before[: j - 1] < scores_before[j - 1])
+
+
+def test_held_arrays_are_copies_later_steps_leave_alone():
+    # arrays taken from the skeleton and the state are copies: 200 more
+    # steps, which grow every buffer past 64 and 128 entries, neither
+    # change them nor are blocked by them (an exported buffer cannot grow)
+    oracle = BrownianOracle(RngStream(61, 0), capacity=8)
+    config = MinimizerConfig(lam=1.0, max_steps=300)
+    state, _ = init_state(oracle, config)
+    for _ in range(40):
+        step(state, oracle, config)
+    skel = state.skeleton
+    held = [skel.values, skel.gap_lengths, skel.gap_levels, state.scores]
+    before = [a.copy() for a in held]
+    for _ in range(200):
+        step(state, oracle, config)
+    assert state.n == 242
+    for array, copy in zip(held, before):
+        assert np.array_equal(array, copy)
+    assert len(held[0]) == 43 and len(held[3]) == 42
 
 
 def _run_checking_scores(oracle, config):
