@@ -33,6 +33,7 @@ from .harness import (
     fit_rate,
     lambda_suggestion,
     run_equidistant,
+    run_equidistant_replications,
     run_experiment,
     run_replication,
     run_replications,
@@ -97,6 +98,7 @@ __all__ = [
     "midpoint",
     "run",
     "run_equidistant",
+    "run_equidistant_replications",
     "run_experiment",
     "run_replication",
     "run_replications",

@@ -86,14 +86,23 @@ def segment_minima(
     lengths, positive and finite, and ``uniforms`` n draws in (0, 1], as
     :class:`BridgeSegment` and :func:`bridge_min_sample` require.  Returns
     the n sampled minima.
+
+    The segments run along the last axis.  Leading axes broadcast against
+    each other, so an (R, n+1) block of values with (R, n) uniforms and
+    one (n,) row of lengths samples R paths at once; each row equals the
+    call on that row alone.
     """
     values = np.asarray(values, dtype=float)
     lengths = np.asarray(lengths, dtype=float)
     uniforms = np.asarray(uniforms, dtype=float)
-    if len(values) != len(lengths) + 1 or len(uniforms) != len(lengths):
+    if min(values.ndim, lengths.ndim, uniforms.ndim) < 1:
+        raise ValueError("values, lengths and uniforms need at least one axis")
+    n = lengths.shape[-1]
+    if values.shape[-1] != n + 1 or uniforms.shape[-1] != n:
         raise ValueError("need n+1 values, n lengths and n uniforms")
-    if not len(lengths):
-        return np.empty(0)
+    leading = np.broadcast_shapes(values.shape[:-1], lengths.shape[:-1], uniforms.shape[:-1])
+    if not (n and math.prod(leading)):
+        return np.empty(leading + (n,))
     # min and max propagate NaN, which fails every comparison below
     if not (-math.inf < values.min() and values.max() < math.inf):
         raise ValueError("segment endpoint values must be finite")
@@ -101,9 +110,21 @@ def segment_minima(
         raise ValueError("segment lengths must be positive and finite")
     if not (0.0 < uniforms.min() and uniforms.max() <= 1.0):
         raise ValueError("uniforms must lie in (0, 1]")
-    a = values[:-1]
-    b = values[1:]
-    c = -lengths * np.log(uniforms) / 2.0
-    y = ((a + b) - np.sqrt((a - b) ** 2 + 4.0 * c)) / 2.0
+    a = values[..., :-1]
+    b = values[..., 1:]
+    # y = ((a + b) - sqrt((a - b)^2 + 4 c)) / 2 with c = -T ln(u) / 2, the
+    # scalar expression operation for operation, but in one output array:
+    # a block then needs three arrays of its size besides its inputs
+    y = np.log(uniforms, out=np.empty(leading + (n,)))
+    np.negative(y, out=y)
+    y *= lengths
+    y /= 2.0
+    y *= 4.0
+    y += np.square(a - b)
+    np.sqrt(y, out=y)
+    np.subtract(a + b, y, out=y)
+    y /= 2.0
     endpoint_min = np.minimum(a, b)
-    return np.where(uniforms == 1.0, endpoint_min, np.minimum(y, endpoint_min))
+    np.minimum(y, endpoint_min, out=y)
+    np.copyto(y, endpoint_min, where=uniforms == 1.0)
+    return y

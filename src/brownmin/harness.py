@@ -12,12 +12,16 @@ every intermediate n, which keeps the per-path error trace internally
 consistent.  All randomness is addressed by (master_seed, namespace,
 replication, role), so results are byte-identical under any worker count.
 
-:func:`run_experiment` hands out work items of whole replications: blocks
-of contiguous adaptive replications, which :func:`run_replications`
-searches in lockstep with :func:`~brownmin.minimizer.search_block`, and
-single equidistant replications covering the whole n grid.  A block
-reproduces :func:`run_replication` sample for sample, so the output bytes
-depend on neither the block size nor the worker count.
+:func:`run_experiment` hands out work items that are blocks of contiguous
+replications, for both algorithms.  :func:`run_replications` searches an
+adaptive block in lockstep with :func:`~brownmin.minimizer.search_block`
+and draws the true minima of all its rows in one call;
+:func:`run_equidistant_replications` computes an equidistant block's
+cumulative sums, discrete minima and bridge minima per grid size over one
+(rows, n) array.  Every row takes its draws from its own streams, so a
+block reproduces :func:`run_replication` and :func:`run_equidistant`
+sample for sample, and the output bytes depend on neither the block size
+nor the worker count.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import math
 import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -161,53 +165,76 @@ def run_replications(plan: ExperimentPlan, lam: float, replications) -> list[Err
     sample for sample, with None for each replication that exceeds the
     level cap (where run_replication raises DepthExceededError).  Each row
     takes the first max(n_grid) normals of its path stream, the ones the
-    oracle draws.
+    oracle draws, and one uniform per final gap of its true-minimum
+    stream, the ones sample_true_min draws.
     """
     replications = list(replications)
-    normals = np.empty((len(replications), max(plan.n_grid)))
+    n_max = max(plan.n_grid)
+    normals = np.empty((len(replications), n_max))
     for row, replication in enumerate(replications):
-        normals[row] = path_stream(plan, ADAPTIVE, replication).gaussians(normals.shape[1])
+        normals[row] = path_stream(plan, ADAPTIVE, replication).gaussians(n_max)
     block = search_block(normals, lam, plan.level_cap, plan.n_grid)
-    samples: list[ErrorSample | None] = []
-    for row, replication in enumerate(replications):
-        if block.capped[row]:
-            samples.append(None)
-            continue
-        true_min = sample_path_minimum(block.values[row], block.lengths[row],
-                                       true_min_stream(plan, ADAPTIVE, replication))
-        deltas = {n: float(m - true_min) for n, m in zip(plan.n_grid, block.m_n[row])}
-        samples.append(ErrorSample(replication, deltas))
-    return samples
+    # the uniforms reuse the normals' memory.  A capped row is dropped and
+    # draws nothing; zero values and uniforms of 1 keep it a valid input
+    uniforms = normals
+    uniforms[block.capped] = 1.0
+    block.values[block.capped] = 0.0
+    for row in np.flatnonzero(~block.capped):
+        stream = true_min_stream(plan, ADAPTIVE, replications[row])
+        uniforms[row] = stream.uniform_open_closed(n_max)
+    true_min = segment_minima(block.values, block.lengths, uniforms).min(axis=1)
+    deltas = (block.m_n - true_min[:, None]).tolist()
+    return [None if capped else ErrorSample(replication, dict(zip(plan.n_grid, row_deltas)))
+            for replication, capped, row_deltas in zip(replications, block.capped, deltas)]
 
 
-def equidistant_error(increments: np.ndarray, uniforms: np.ndarray) -> float:
-    """Error of the equidistant rule given its raw draws (pure core)."""
-    n = len(increments)
-    values = np.concatenate(([0.0], np.cumsum(increments)))
-    discrete_min = float(values.min())
-    lengths = np.full(n, 1.0 / n)
-    true_min = float(segment_minima(values, lengths, uniforms).min())
-    return discrete_min - true_min
+def equidistant_error(increments: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Error of the equidistant rule given its raw draws (pure core).
+
+    ``increments`` and ``uniforms`` hold the n draws of one replication
+    along their last axis, with one replication per row of any leading
+    axes; returns one error per replication (a NumPy scalar for one).
+    """
+    increments = np.asarray(increments, dtype=float)
+    n = increments.shape[-1]
+    values = np.zeros(increments.shape[:-1] + (n + 1,))
+    np.cumsum(increments, axis=-1, out=values[..., 1:])
+    true_min = segment_minima(values, np.full(n, 1.0 / n), uniforms).min(axis=-1)
+    return values.min(axis=-1) - true_min
 
 
 def run_equidistant(plan: ExperimentPlan, n: int, replication: int) -> ErrorSample:
     """One equidistant replication at a fixed grid size n.
 
     Samples W left to right at i/n with increments N(0, 1/n), then draws
-    M over the n float segments.
+    M over the n float segments: the one-row, one-size case of
+    :func:`run_equidistant_replications`.  An n below 1 raises
+    ValueError, as the plan's grid does.
     """
-    if n < 1:
-        raise ValueError("equidistant rule needs n >= 1")
-    return _equidistant_sample(plan, (n,), replication)
+    one_size = replace(plan, n_grid=(n,), algorithm=EQUIDISTANT)
+    return run_equidistant_replications(one_size, (replication,))[0]
 
 
-def _equidistant_sample(plan: ExperimentPlan, ns, replication: int) -> ErrorSample:
-    # the draws for size n are the first n of those for max(ns)
-    n_max = max(ns)
-    normals = path_stream(plan, EQUIDISTANT, replication).gaussians(n_max)
-    uniforms = true_min_stream(plan, EQUIDISTANT, replication).uniform_open_closed(n_max)
-    return ErrorSample(replication, {
-        n: equidistant_error(normals[:n] * math.sqrt(1.0 / n), uniforms[:n]) for n in ns})
+def run_equidistant_replications(plan: ExperimentPlan, replications) -> list[ErrorSample]:
+    """Equidistant replications over the whole n grid, run as one block.
+
+    Equals ``run_equidistant(plan, n, r)`` for every n in the grid and r
+    in ``replications``.  Each row takes the first max(n_grid) normals of
+    its path stream and as many uniforms of its true-minimum stream; the
+    draws for size n are the first n of those, so a row's errors depend
+    on neither the block around it nor the rest of the grid.
+    """
+    replications = list(replications)
+    n_max = max(plan.n_grid)
+    normals = np.empty((len(replications), n_max))
+    uniforms = np.empty((len(replications), n_max))
+    for row, replication in enumerate(replications):
+        normals[row] = path_stream(plan, EQUIDISTANT, replication).gaussians(n_max)
+        uniforms[row] = true_min_stream(plan, EQUIDISTANT, replication).uniform_open_closed(n_max)
+    by_n = [equidistant_error(normals[:, :n] * math.sqrt(1.0 / n), uniforms[:, :n]).tolist()
+            for n in plan.n_grid]
+    return [ErrorSample(replication, dict(zip(plan.n_grid, errors)))
+            for replication, errors in zip(replications, zip(*by_n))]
 
 
 def estimate_lp_error(deltas: np.ndarray, p: float) -> tuple[float, float]:
@@ -229,18 +256,19 @@ def estimate_lp_error(deltas: np.ndarray, p: float) -> tuple[float, float]:
 def fit_rate(points: list[tuple[float, float]]) -> float:
     """Least-squares slope of ln(error) against ln(n).
 
-    Needs at least two distinct n, every n > 0 and every error > 0; a NaN
-    error (a cell whose replications were all dropped) is refused too.
+    Needs at least two distinct n, every n and every error positive and
+    finite; a NaN error (a cell whose replications were all dropped) is
+    refused too.
     """
     ns = np.array([float(n) for n, _ in points])
     errs = np.array([float(e) for _, e in points])
     if len(np.unique(ns)) < 2:
         raise ValueError("need at least two distinct n to fit a rate")
-    # min propagates NaN, which fails both comparisons
-    if not ns.min() > 0.0:
-        raise ValueError("rate fit requires every n > 0")
-    if not errs.min() > 0.0:
-        raise ValueError("rate fit requires strictly positive errors")
+    # min and max propagate NaN, which fails every comparison
+    if not (ns.min() > 0.0 and ns.max() < math.inf):
+        raise ValueError("rate fit requires every n positive and finite")
+    if not (errs.min() > 0.0 and errs.max() < math.inf):
+        raise ValueError("rate fit requires positive, finite errors")
     slope, _ = np.polyfit(np.log(ns), np.log(errs), 1)
     return float(slope)
 
@@ -276,22 +304,20 @@ def _map_tasks(fn, workers: int, *columns):
 def run_experiment(plan: ExperimentPlan, workers: int = 1) -> list[ErrorEstimate]:
     """Run the full plan and aggregate one estimate per (lambda, n) cell.
 
-    Work items are mapped over at most ``workers`` processes: blocks of
-    contiguous adaptive replications, one per worker unless a block of
-    ``_BLOCK_ENTRIES / max(n_grid)`` rows is smaller, and single
-    equidistant replications over the whole n grid.  Output does not
-    depend on the worker count.  Replications that exceed the bisection
+    Work items are blocks of contiguous replications, mapped over at most
+    ``workers`` processes: one block per worker, unless a block of
+    ``_BLOCK_ENTRIES / max(n_grid)`` adaptive rows or a quarter as many
+    equidistant rows is smaller.  An adaptive block covers one lambda, an
+    equidistant block the whole n grid.  Output does not depend on the
+    worker count.  Replications that exceed the bisection
     depth cap are dropped and counted in the estimates they would have
     contributed to.  Fewer than one worker raises ValueError.
     """
     if operator.index(workers) < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     estimates: list[ErrorEstimate] = []
-    reps = range(plan.replications)
     if plan.algorithm == ADAPTIVE:
-        rows = min(math.ceil(plan.replications / workers),
-                   max(1, _BLOCK_ENTRIES // max(plan.n_grid)))
-        blocks = [reps[lo : lo + rows] for lo in range(0, plan.replications, rows)]
+        blocks = _blocks(plan, workers, _BLOCK_ENTRIES // max(plan.n_grid))
         for lam in plan.lambdas:
             results = _map_tasks(run_replications, workers,
                                  [plan] * len(blocks), [lam] * len(blocks), blocks)
@@ -303,12 +329,27 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> list[ErrorEstimate
                     ADAPTIVE, lam, plan, n,
                     np.array([s.deltas[n] for s in kept]), dropped))
     else:
-        samples = _map_tasks(_equidistant_sample, workers, [plan] * len(reps),
-                             [plan.n_grid] * len(reps), reps)
+        # an equidistant row holds its normals, uniforms, path values and
+        # the temporaries of segment_minima at once, about four arrays of
+        # max(n_grid) entries, so a block takes a quarter of the adaptive
+        # rows: as many rows as an adaptive block needed as much memory as
+        # the search and raised a compare run's peak
+        blocks = _blocks(plan, workers, _BLOCK_ENTRIES // (4 * max(plan.n_grid)))
+        results = _map_tasks(run_equidistant_replications, workers,
+                             [plan] * len(blocks), blocks)
+        samples = [sample for block in results for sample in block]
         for n in plan.n_grid:
             estimates.append(_estimate_cell(
                 EQUIDISTANT, None, plan, n, np.array([s.deltas[n] for s in samples]), 0))
     return estimates
+
+
+def _blocks(plan: ExperimentPlan, workers: int, rows: int) -> list[range]:
+    # contiguous blocks of at most ``rows`` replications (at least one),
+    # and one per worker when that is fewer
+    rows = min(math.ceil(plan.replications / workers), max(1, rows))
+    return [range(lo, min(lo + rows, plan.replications))
+            for lo in range(0, plan.replications, rows)]
 
 
 def _estimate_cell(algorithm, lam, plan, n, deltas, dropped) -> ErrorEstimate:

@@ -318,40 +318,44 @@ def search_block(normals: np.ndarray, lam: float, level_cap: int,
     # by one ulp); lengths and midpoint spreads come from the dyadic tables
     offset = np.array([search_offset(length, lam) for length in GAP_LENGTH[: level_cap + 1]])
 
-    rows = np.arange(rows_count)
     left = np.zeros((rows_count, n_max))
     right = np.empty((rows_count, n_max))
     levels = np.zeros((rows_count, n_max), dtype=np.int16)
     links = np.empty((rows_count, n_max), dtype=np.int32)
     scores = np.empty((rows_count, n_max))
+    # row r's slot j is entry r * n_max + j of each flat view: one flat
+    # index gathers and scatters faster than a (row, slot) pair
+    left_flat, right_flat, levels_flat, links_flat, scores_flat = (
+        x.reshape(-1) for x in (left, right, levels, links, scores))
+    base = np.arange(rows_count) * n_max
     # n = 1: the single gap [0, 1] in slot 0, the last gap in site order
     right[:, 0] = normals[:, 0]
     links[:, 0] = -1
     m = np.where(normals[:, 0] < 0.0, normals[:, 0], 0.0)
     tau = np.zeros(rows_count, dtype=np.int16)
-    split = np.zeros(rows_count, dtype=np.intp)
+    at = base.copy()  # flat index of the slot each row splits next
     capped = np.zeros(rows_count, dtype=bool)
     m_n = np.empty((rows_count, len(record)))
     column = {n: k for k, n in enumerate(record)}
 
     for n in range(2, n_max + 1):
         new = n - 1  # slot of the right half
-        a = left[rows, split]
-        b = right[rows, split]
-        parent = levels[rows, split]
+        a = left_flat[at]
+        b = right_flat[at]
+        parent = levels_flat[at]
         value = a + 0.5 * (b - a) + MIDPOINT_SD[parent] * normals[:, n - 1]
         level = parent + 1
         deep = level > level_cap
         if deep.any():
             capped |= deep
             level = np.minimum(level, level_cap)  # keeps table lookups in range
-        right[rows, split] = value
-        levels[rows, split] = level
+        right_flat[at] = value
+        levels_flat[at] = level
         left[:, new] = value
         right[:, new] = b
         levels[:, new] = level
-        links[:, new] = links[rows, split]
-        links[rows, split] = new
+        links[:, new] = links_flat[at]
+        links_flat[at] = new
 
         lower = value < m
         moved = np.flatnonzero(lower | (level > tau))
@@ -359,7 +363,7 @@ def search_block(normals: np.ndarray, lam: float, level_cap: int,
         tau = np.maximum(tau, level)
         c = m - offset[tau]
         half = GAP_LENGTH[level]
-        scores[rows, split] = _score(half, a, value, c)
+        scores_flat[at] = _score(half, a, value, c)
         scores[:, new] = _score(half, value, b, c)
         if len(moved):
             scores[moved, :n] = _score(GAP_LENGTH[levels[moved, :n]], left[moved, :n],
@@ -368,22 +372,23 @@ def search_block(normals: np.ndarray, lam: float, level_cap: int,
             m_n[:, column[n]] = m
         current = scores[:, :n]
         split = current.argmax(axis=1)
-        if not np.isfinite(scores[rows, split]).all():
+        at = base + split
+        if not np.isfinite(scores_flat[at]).all():
             raise FloatingPointError(f"non-finite split score at n={n}")
         if n < n_max:
             last = n - 1 - current[:, ::-1].argmax(axis=1)
             for r in np.flatnonzero(split != last):
-                split[r] = _leftmost_largest(scores[r, :n], links[r, :n], split[r])
+                at[r] = base[r] + _leftmost_largest(scores[r, :n], links[r, :n], split[r])
 
     values = np.empty((rows_count, n_max + 1))
     site_levels = np.empty((rows_count, n_max), dtype=np.int16)
-    slot = np.zeros(rows_count, dtype=np.intp)
+    at = base
     for i in range(n_max):  # walk the links in site order
-        values[:, i] = left[rows, slot]
-        site_levels[:, i] = levels[rows, slot]
-        last = slot
-        slot = links[rows, slot]
-    values[:, n_max] = right[rows, last]
+        values[:, i] = left_flat[at]
+        site_levels[:, i] = levels_flat[at]
+        last = at
+        at = base + links_flat[at]
+    values[:, n_max] = right_flat[last]
     return BlockResult(m_n, capped, values, GAP_LENGTH[site_levels])
 
 

@@ -14,6 +14,7 @@ finds that gap for a given site and takes the same path.
 from __future__ import annotations
 
 import abc
+import operator
 from typing import Callable
 
 import numpy as np
@@ -47,10 +48,14 @@ class BrownianOracle(PathOracle):
     The k-th new site uses the k-th normal of ``stream``.  The normals are
     drawn from the stream in blocks, so the stream may have advanced past
     the last normal used.  ``capacity`` sizes only the first block (at
-    least 8 draws); each later block doubles it.
+    least 8 draws); each later block doubles it.  It must be an integer
+    of at least 1: a float raises TypeError, a smaller value ValueError.
     """
 
     def __init__(self, stream: RngStream, capacity: int = 64):
+        capacity = operator.index(capacity)
+        if capacity < 1:
+            raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.stream = stream
         self.skeleton = Skeleton()
         self._block = max(capacity, 8)

@@ -172,7 +172,51 @@ def test_segment_minima_validation():
     ):
         with pytest.raises(ValueError):
             segment_minima(values, lengths, uniforms)
+        # the same bad entry in any row of a block
+        good = ([0.0, 1.0, 0.5], [0.5, 0.5], [0.5, 0.5])
+        for row in range(3):
+            block = [np.array([good[k]] * 3) for k in range(3)]
+            for k, bad in enumerate((values, lengths, uniforms)):
+                block[k][row] = bad
+            with pytest.raises(ValueError):
+                segment_minima(*block)
     assert len(segment_minima([0.0], [], [])) == 0
+    assert segment_minima(np.zeros((3, 1)), np.ones((3, 0)), np.ones((3, 0))).shape == (3, 0)
+    assert segment_minima(np.zeros((0, 3)), [0.5, 0.5], np.ones((0, 2))).shape == (0, 2)
+    # leading axes that do not broadcast, and scalars
+    with pytest.raises(ValueError):
+        segment_minima(np.zeros((3, 3)), [0.5, 0.5], np.full((2, 2), 0.5))
+    with pytest.raises(ValueError):
+        segment_minima(0.0, 1.0, 0.5)
+
+
+def test_segment_minima_block_equals_row_calls():
+    rng = np.random.default_rng(21)
+    rows, n = 7, 33
+    values = rng.standard_normal((rows, n + 1))
+    lengths = rng.uniform(0.01, 1.0, (rows, n))
+    uniforms = 1.0 - rng.random((rows, n))
+    uniforms[:, ::5] = 1.0  # the endpoint branch in every row
+    # at u = 1 the minimum is the lower endpoint exactly, where the root
+    # formula gives 0 for 1e-17 next to a value above 1
+    values[:, 0] = 1e-17
+    values[:, 1] = 1.0 + np.abs(values[:, 1])
+    block = segment_minima(values, lengths, uniforms)
+    assert block.shape == (rows, n)
+    assert np.array_equal(block[:, 0], values[:, 0])
+    assert np.array_equal(block, [segment_minima(values[r], lengths[r], uniforms[r])
+                                  for r in range(rows)])
+    # one row of lengths shared by every row, as the equidistant rule has
+    shared = segment_minima(values, lengths[0], uniforms)
+    assert np.array_equal(shared, [segment_minima(values[r], lengths[0], uniforms[r])
+                                   for r in range(rows)])
+    # one path with many rows of uniforms, and two leading axes
+    path = segment_minima(values[0], lengths[0], uniforms)
+    assert np.array_equal(path, [segment_minima(values[0], lengths[0], uniforms[r])
+                                 for r in range(rows)])
+    stacked = segment_minima(values[:6].reshape(2, 3, n + 1), lengths[0],
+                             uniforms[:6].reshape(2, 3, n))
+    assert np.array_equal(stacked.reshape(6, n), shared[:6])
 
 
 def test_stream_determinism():

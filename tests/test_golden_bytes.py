@@ -42,3 +42,14 @@ def test_compare_csv_bytes(tmp_path, threads):
                  "--n-grid", "8,64,256", "--seed", str(SEED), "--out", str(out),
                  "--threads", threads]) == 0
     assert _sha256(out) == "caf63f8548addaf800c6edbf33a1622b4f949e74ce4755c3074a4486537beed7"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_bench_compare_csv_bytes(tmp_path, threads):
+    # the benchmark's mc-compare plan, hash from bench/golden.json: several
+    # blocks per phase and the equidistant rule up to n = 512
+    out = tmp_path / "compare.csv"
+    assert main(["compare", "--lambdas", "1", "--p", "2", "--reps", "128",
+                 "--n-grid", "16,32,64,128,256,512", "--seed", str(SEED), "--out", str(out),
+                 "--threads", threads]) == 0
+    assert _sha256(out) == "930f0fa1a13a86436fe68a95d75e6143d3e519c354d9a009c6749161605b6009"

@@ -4,23 +4,27 @@ import numpy as np
 import pytest
 
 from brownmin import harness
-from brownmin.bridge import segment_minima
+from brownmin.bridge import BridgeSegment, bridge_min_sample, segment_minima
 from brownmin.dyadic import ONE, DepthExceededError, DyadicPoint, Skeleton
 from brownmin.harness import (
     ADAPTIVE,
     EQUIDISTANT,
     ErrorEstimate,
+    ErrorSample,
     ExperimentPlan,
     equidistant_error,
     estimate_lp_error,
     fit_rate,
     lambda_suggestion,
+    path_stream,
     run_equidistant,
+    run_equidistant_replications,
     run_experiment,
     run_replication,
     run_replications,
     sample_path_minimum,
     sample_true_min,
+    true_min_stream,
     write_errors_csv,
 )
 from brownmin.minimizer import MinimizerConfig, run, search_block
@@ -153,8 +157,6 @@ def test_replication_paths_shared_across_lambdas():
 
 
 def test_algorithms_use_distinct_stream_namespaces():
-    from brownmin.harness import path_stream, true_min_stream
-
     plan = small_plan()
     adaptive_key = path_stream(plan, ADAPTIVE, 0).key
     equidistant_key = path_stream(plan, EQUIDISTANT, 0).key
@@ -181,6 +183,72 @@ def test_run_equidistant_contract():
         run_equidistant(plan, 0, 1)
 
 
+def _equidistant_reference(plan, n, replication):
+    # one BridgeSegment and bridge_min_sample per segment, from the first
+    # n draws of the replication's streams
+    n_max = max(plan.n_grid)
+    normals = path_stream(plan, EQUIDISTANT, replication).gaussians(n_max)
+    increments = normals[:n] * math.sqrt(1.0 / n)
+    uniforms = true_min_stream(plan, EQUIDISTANT, replication).uniform_open_closed(n_max)[:n]
+    values = [0.0]
+    for increment in increments.tolist():
+        values.append(values[-1] + increment)
+    true_min = min(bridge_min_sample(BridgeSegment(values[i], values[i + 1], 1.0 / n), u)
+                   for i, u in enumerate(uniforms.tolist()))
+    return min(values) - true_min
+
+
+def test_equidistant_blocks_equal_single_replications(monkeypatch):
+    plan = small_plan(lambdas=(), algorithm=EQUIDISTANT, n_grid=(16, 64, 512), replications=70)
+    reps = range(plan.replications)
+    by_rows = {rows: [s for lo in range(0, len(reps), rows)
+                      for s in run_equidistant_replications(plan, reps[lo : lo + rows])]
+               for rows in (1, 5, len(reps))}
+    samples = by_rows[1]
+    assert by_rows[5] == samples and by_rows[len(reps)] == samples
+    assert [s.replication for s in samples] == list(reps)
+    for s in samples:
+        assert list(s.deltas) == list(plan.n_grid)
+        for n, delta in s.deltas.items():
+            assert delta == pytest.approx(_equidistant_reference(plan, n, s.replication),
+                                          rel=1e-12, abs=0.0)
+    # run_equidistant is the one-row, one-size case
+    for n in plan.n_grid:
+        assert run_equidistant(plan, n, 3) == ErrorSample(3, {n: samples[3].deltas[n]})
+    # run_experiment at the default block size (more than one block), on 1
+    # and 2 workers, and at blocks of 5 rows and of 1
+    expected = [ErrorEstimate(EQUIDISTANT, None, plan.p, n, len(reps),
+                              *estimate_lp_error(np.array([s.deltas[n] for s in samples]), plan.p))
+                for n in plan.n_grid]
+    assert harness._BLOCK_ENTRIES // (4 * 512) < len(reps)
+    assert run_experiment(plan, workers=1) == expected
+    assert run_experiment(plan, workers=2) == expected
+    for rows in (5, 1):
+        monkeypatch.setattr(harness, "_BLOCK_ENTRIES", 4 * 512 * rows)
+        assert run_experiment(plan) == expected
+
+
+def test_blocks_stay_within_the_memory_bound(monkeypatch):
+    # record the work items run_experiment maps, then run them
+    mapped = []
+    map_tasks = harness._map_tasks
+
+    def recording(fn, workers, *columns):
+        mapped.append((fn, list(columns[-1])))
+        return map_tasks(fn, workers, *columns)
+
+    monkeypatch.setattr(harness, "_map_tasks", recording)
+    for algorithm in (ADAPTIVE, EQUIDISTANT):
+        run_experiment(small_plan(algorithm=algorithm, n_grid=(16, 512), replications=300))
+    (adaptive_fn, adaptive), (equidistant_fn, equidistant) = mapped
+    assert adaptive_fn is run_replications and equidistant_fn is run_equidistant_replications
+    for blocks, entries in ((adaptive, harness._BLOCK_ENTRIES),
+                            (equidistant, harness._BLOCK_ENTRIES // 4)):
+        assert len(blocks) > 1
+        assert [r for block in blocks for r in block] == list(range(300))
+        assert all(len(block) * 512 <= entries for block in blocks)
+
+
 def test_estimate_lp_error_examples():
     lp, std = estimate_lp_error(np.array([0.2]), 1.0)
     assert lp == 0.2 and std == 0.0
@@ -205,9 +273,11 @@ def test_fit_rate_examples():
         fit_rate([(4, 0.1)])
     with pytest.raises(ValueError):
         fit_rate([(4, 0.1), (16, 0.0)])
-    # each of these gave a NaN slope
+    # each of these gave a NaN slope; an infinite n made the least-squares
+    # solver fail to converge
     for bad in ([(0, 0.1), (16, 0.05)], [(-4, 0.1), (16, 0.05)], [(4, 0.1), (4, 0.05)],
-                [(math.nan, 0.1), (16, 0.05)], [(4, math.nan), (16, 0.05)], []):
+                [(math.nan, 0.1), (16, 0.05)], [(4, math.nan), (16, 0.05)], [],
+                [(4, 0.1), (16, math.inf)], [(4, 0.1), (math.inf, 0.01)]):
         with pytest.raises(ValueError):
             fit_rate(bad)
 

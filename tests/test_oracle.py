@@ -49,6 +49,19 @@ def test_midpoint_draw_uses_bridge_law():
     assert w_half == pytest.approx(0.5 * w1 + 0.5 * z2, rel=1e-15)
 
 
+def test_capacity_is_checked_at_construction():
+    # 10.5 failed only at the first draw, inside numpy; -5 ran as 8
+    with pytest.raises(TypeError):
+        BrownianOracle(RngStream(15, 0), capacity=10.5)
+    for bad in (0, -5):
+        with pytest.raises(ValueError):
+            BrownianOracle(RngStream(15, 0), capacity=bad)
+    # any capacity of at least 1 draws the same path
+    expected = RngStream(15, 0).gaussian()
+    for capacity in (1, np.int64(3), 64):
+        assert BrownianOracle(RngStream(15, 0), capacity=capacity).evaluate(ONE) == expected
+
+
 def test_midpoint_draw_keeps_its_spread_at_depth():
     # the bridge formula sqrt(s (T - s) / T) at s = T/2 equals sqrt(T)/2
     # exactly down to level 536, and underflows to 0 from level 537 on
