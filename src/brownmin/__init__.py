@@ -26,7 +26,6 @@ from .harness import (
     ADAPTIVE,
     EQUIDISTANT,
     ErrorEstimate,
-    ErrorSample,
     ExperimentPlan,
     equidistant_error,
     estimate_lp_error,
@@ -74,7 +73,6 @@ __all__ = [
     "DyadicPoint",
     "EQUIDISTANT",
     "ErrorEstimate",
-    "ErrorSample",
     "ExperimentPlan",
     "MinimizerConfig",
     "MinimizerState",

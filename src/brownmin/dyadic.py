@@ -144,25 +144,30 @@ class Skeleton:
     The first site is always 0 with value 0.  The first inserted site must
     be 1; every later site is the exact midpoint of the gap it lands in.
     Every gap is therefore an aligned dyadic interval [k/2^L, (k+1)/2^L]:
-    its level L sits in an int16 array and its exact left numerator k in a
-    list, and its length and midpoint spread are read from ``GAP_LENGTH``
-    and ``MIDPOINT_SD``.  Splitting gap j puts the new site (2k+1)/2^(L+1)
-    at index j without any search.  The running minimum of the values and
-    the smallest gap are maintained incrementally.
+    its level L sits in an int16 array, and its length and midpoint spread
+    are read from ``GAP_LENGTH`` and ``MIDPOINT_SD``.  Each site is stored
+    once, as a canonical DyadicPoint in a table in evaluation order, and
+    each gap holds the id of its left-end site in that table; the left
+    numerator k of a gap at its level L is that site's numerator shifted
+    left by L minus the site's level.  Splitting gap j puts the new site
+    (2k+1)/2^(L+1) at index j without any search.  The running minimum of
+    the values and the smallest gap are maintained incrementally.
 
-    Values and levels are ``array.array`` buffers holding exactly their
-    entries: a split is one ``insert`` (a single memmove) per buffer, and
-    an indexed read gives a Python float or int.  The numpy properties
-    return copies, so no view of a buffer outlives the statement that
-    makes it; while one is exported, ``insert`` raises BufferError.
+    Values, levels and left-end ids are ``array.array`` buffers holding
+    exactly their entries: a split is one ``insert`` (a single memmove)
+    per buffer and one append to the site table, and an indexed read
+    gives a Python float or int.  The numpy properties return copies, so
+    no view of a buffer outlives the statement that makes it; while one is
+    exported, ``insert`` raises BufferError.
     """
 
-    __slots__ = ("_values", "_gap_levels", "_gap_nums", "_min_value", "_tau_level")
+    __slots__ = ("_values", "_gap_levels", "_gap_left", "_sites", "_min_value", "_tau_level")
 
     def __init__(self):
         self._values = array("d", [0.0])
         self._gap_levels = array("h")
-        self._gap_nums: list[int] = []
+        self._gap_left = array("i")  # per gap in site order, its left end's id in _sites
+        self._sites = [ZERO]  # every site once, in evaluation order
         self._min_value = 0.0
         self._tau_level: int | None = None
 
@@ -196,7 +201,7 @@ class Skeleton:
             return ZERO
         if i == count - 1:
             return ONE
-        return DyadicPoint(self._gap_nums[i], self._gap_levels[i])
+        return self._sites[self._gap_left[i]]
 
     @property
     def sites(self) -> list[DyadicPoint]:
@@ -221,7 +226,14 @@ class Skeleton:
         """Exact midpoint of gap j (1-based, between sites j-1 and j)."""
         if not 1 <= j < len(self._values):
             raise IndexError(f"gap index {j} out of range")
-        return _canonical(2 * self._gap_nums[j - 1] + 1, self._gap_levels[j - 1] + 1)
+        return self._midpoint(j - 1, self._gap_levels[j - 1] + 1)
+
+    def _midpoint(self, g: int, level: int) -> DyadicPoint:
+        # gap g (0-based) at level L = level - 1 has left numerator
+        # k = left.numerator << (L - left.level); its midpoint is
+        # (2k+1)/2^level, canonical because odd
+        left = self._sites[self._gap_left[g]]
+        return _canonical((left.numerator << (level - left.level)) | 1, level)
 
     def site_floats(self) -> np.ndarray:
         return np.array([float(s) for s in self.sites])
@@ -283,7 +295,8 @@ class Skeleton:
             raise ValueError(f"first inserted site must be 1, got {t}")
         self._values.append(value)
         self._gap_levels.append(0)
-        self._gap_nums.append(0)
+        self._gap_left.append(0)
+        self._sites.append(ONE)
         self._min_value = min(self._min_value, value)
         self._tau_level = 0
         return 1
@@ -303,9 +316,9 @@ class Skeleton:
         values.insert(j, value)
         levels[g] = level
         levels.insert(j, level)
-        k = self._gap_nums[g]
-        self._gap_nums[g] = 2 * k
-        self._gap_nums.insert(j, 2 * k + 1)
+        sites = self._sites
+        self._gap_left.insert(j, len(sites))
+        sites.append(self._midpoint(g, level))
         if value < self._min_value:
             self._min_value = value
         if level > self._tau_level:

@@ -1,4 +1,4 @@
-"""Monte Carlo harness: error samples, L_p curves and rate fits.
+"""Monte Carlo harness: error arrays, L_p curves and rate fits.
 
 One replication draws a fresh Brownian path, runs the adaptive search (or
 the equidistant baseline), then samples the true path minimum M exactly
@@ -13,15 +13,18 @@ consistent.  All randomness is addressed by (master_seed, namespace,
 replication, role), so results are byte-identical under any worker count.
 
 :func:`run_experiment` hands out work items that are blocks of contiguous
-replications, for both algorithms.  :func:`run_replications` searches an
-adaptive block in lockstep with :func:`~brownmin.minimizer.search_block`
-and draws the true minima of all its rows in one call;
-:func:`run_equidistant_replications` computes an equidistant block's
-cumulative sums, discrete minima and bridge minima per grid size over one
-(rows, n) array.  Every row takes its draws from its own streams, so a
-block reproduces :func:`run_replication` and :func:`run_equidistant`
-sample for sample, and the output bytes depend on neither the block size
-nor the worker count.
+replications, for both algorithms, as one work list for the whole plan:
+every (lambda, block) pair is one item, so a call opens at most one
+process pool.  :func:`run_replications` searches an adaptive block in
+lockstep with :func:`~brownmin.minimizer.search_block` and draws the true
+minima of all its rows in one call; :func:`run_equidistant_replications`
+computes an equidistant block's cumulative sums, discrete minima and
+bridge minima per grid size over one (rows, n) array.  Both return a
+(rows, n grid) array of errors, with a NaN row for a replication that
+exceeded the depth cap, and one loop aggregates the columns of either.
+Every row takes its draws from its own streams, so a block reproduces
+:func:`run_replication` and :func:`run_equidistant` bit for bit, and the
+output bytes depend on neither the block size nor the worker count.
 """
 
 from __future__ import annotations
@@ -94,14 +97,6 @@ class ExperimentPlan:
 
 
 @dataclass(frozen=True)
-class ErrorSample:
-    """Errors of one replication, keyed by evaluation count n."""
-
-    replication: int
-    deltas: dict[int, float]
-
-
-@dataclass(frozen=True)
 class ErrorEstimate:
     """Aggregated L_p error at one (algorithm, lambda, n) cell."""
 
@@ -140,12 +135,12 @@ def sample_true_min(skeleton: Skeleton, stream: RngStream) -> float:
     return sample_path_minimum(skeleton.values, skeleton.gap_lengths, stream)
 
 
-def run_replication(plan: ExperimentPlan, lam: float, replication: int) -> ErrorSample:
+def run_replication(plan: ExperimentPlan, lam: float, replication: int) -> np.ndarray:
     """One adaptive replication: run to max(n_grid), then sample M once.
 
-    The path stream depends on (master_seed, replication) only, so the
-    same replication index sees the same underlying randomness for every
-    lambda.
+    Returns the errors delta_n, one per n in the grid.  The path stream
+    depends on (master_seed, replication) only, so the same replication
+    index sees the same underlying randomness for every lambda.
     """
     oracle = BrownianOracle(
         path_stream(plan, ADAPTIVE, replication), capacity=max(plan.n_grid) + 2
@@ -153,20 +148,19 @@ def run_replication(plan: ExperimentPlan, lam: float, replication: int) -> Error
     config = MinimizerConfig(lam=lam, max_steps=max(plan.n_grid), level_cap=plan.level_cap)
     state, traces = run(oracle, config)
     true_min = sample_true_min(state.skeleton, true_min_stream(plan, ADAPTIVE, replication))
-    m_by_n = np.array([tr.m_n for tr in traces])  # index n - 2
-    deltas = {n: float(m_by_n[n - 2] - true_min) for n in plan.n_grid}
-    return ErrorSample(replication, deltas)
+    return np.array([traces[n - 2].m_n for n in plan.n_grid]) - true_min
 
 
-def run_replications(plan: ExperimentPlan, lam: float, replications) -> list[ErrorSample | None]:
+def run_replications(plan: ExperimentPlan, lam: float, replications) -> np.ndarray:
     """Adaptive replications run as one lockstep block.
 
-    Equals ``[run_replication(plan, lam, r) for r in replications]``
-    sample for sample, with None for each replication that exceeds the
-    level cap (where run_replication raises DepthExceededError).  Each row
-    takes the first max(n_grid) normals of its path stream, the ones the
-    oracle draws, and one uniform per final gap of its true-minimum
-    stream, the ones sample_true_min draws.
+    Returns one row of errors per replication and one column per n in the
+    grid.  Row k equals ``run_replication(plan, lam, replications[k])``
+    bit for bit, or is NaN when that replication exceeds the level cap
+    (where run_replication raises DepthExceededError).  Each row takes the
+    first max(n_grid) normals of its path stream, the ones the oracle
+    draws, and one uniform per final gap of its true-minimum stream, the
+    ones sample_true_min draws.
     """
     replications = list(replications)
     n_max = max(plan.n_grid)
@@ -183,9 +177,9 @@ def run_replications(plan: ExperimentPlan, lam: float, replications) -> list[Err
         stream = true_min_stream(plan, ADAPTIVE, replications[row])
         uniforms[row] = stream.uniform_open_closed(n_max)
     true_min = segment_minima(block.values, block.lengths, uniforms).min(axis=1)
-    deltas = (block.m_n - true_min[:, None]).tolist()
-    return [None if capped else ErrorSample(replication, dict(zip(plan.n_grid, row_deltas)))
-            for replication, capped, row_deltas in zip(replications, block.capped, deltas)]
+    deltas = block.m_n - true_min[:, None]
+    deltas[block.capped] = math.nan
+    return deltas
 
 
 def equidistant_error(increments: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -203,8 +197,8 @@ def equidistant_error(increments: np.ndarray, uniforms: np.ndarray) -> np.ndarra
     return values.min(axis=-1) - true_min
 
 
-def run_equidistant(plan: ExperimentPlan, n: int, replication: int) -> ErrorSample:
-    """One equidistant replication at a fixed grid size n.
+def run_equidistant(plan: ExperimentPlan, n: int, replication: int) -> float:
+    """Error of one equidistant replication at a fixed grid size n.
 
     Samples W left to right at i/n with increments N(0, 1/n), then draws
     M over the n float segments: the one-row, one-size case of
@@ -212,14 +206,15 @@ def run_equidistant(plan: ExperimentPlan, n: int, replication: int) -> ErrorSamp
     ValueError, as the plan's grid does.
     """
     one_size = replace(plan, n_grid=(n,), algorithm=EQUIDISTANT)
-    return run_equidistant_replications(one_size, (replication,))[0]
+    return float(run_equidistant_replications(one_size, (replication,))[0, 0])
 
 
-def run_equidistant_replications(plan: ExperimentPlan, replications) -> list[ErrorSample]:
+def run_equidistant_replications(plan: ExperimentPlan, replications) -> np.ndarray:
     """Equidistant replications over the whole n grid, run as one block.
 
-    Equals ``run_equidistant(plan, n, r)`` for every n in the grid and r
-    in ``replications``.  Each row takes the first max(n_grid) normals of
+    Returns one row of errors per replication and one column per n in the
+    grid; entry (k, i) equals ``run_equidistant(plan, n_grid[i],
+    replications[k])``.  Each row takes the first max(n_grid) normals of
     its path stream and as many uniforms of its true-minimum stream; the
     draws for size n are the first n of those, so a row's errors depend
     on neither the block around it nor the rest of the grid.
@@ -231,10 +226,8 @@ def run_equidistant_replications(plan: ExperimentPlan, replications) -> list[Err
     for row, replication in enumerate(replications):
         normals[row] = path_stream(plan, EQUIDISTANT, replication).gaussians(n_max)
         uniforms[row] = true_min_stream(plan, EQUIDISTANT, replication).uniform_open_closed(n_max)
-    by_n = [equidistant_error(normals[:, :n] * math.sqrt(1.0 / n), uniforms[:, :n]).tolist()
-            for n in plan.n_grid]
-    return [ErrorSample(replication, dict(zip(plan.n_grid, errors)))
-            for replication, errors in zip(replications, zip(*by_n))]
+    return np.stack([equidistant_error(normals[:, :n] * math.sqrt(1.0 / n), uniforms[:, :n])
+                     for n in plan.n_grid], axis=-1)
 
 
 def estimate_lp_error(deltas: np.ndarray, p: float) -> tuple[float, float]:
@@ -304,43 +297,44 @@ def _map_tasks(fn, workers: int, *columns):
 def run_experiment(plan: ExperimentPlan, workers: int = 1) -> list[ErrorEstimate]:
     """Run the full plan and aggregate one estimate per (lambda, n) cell.
 
-    Work items are blocks of contiguous replications, mapped over at most
-    ``workers`` processes: one block per worker, unless a block of
-    ``_BLOCK_ENTRIES / max(n_grid)`` adaptive rows or a quarter as many
-    equidistant rows is smaller.  An adaptive block covers one lambda, an
-    equidistant block the whole n grid.  Output does not depend on the
-    worker count.  Replications that exceed the bisection
-    depth cap are dropped and counted in the estimates they would have
-    contributed to.  Fewer than one worker raises ValueError.
+    Work items are blocks of contiguous replications, one list for the
+    whole plan mapped over at most ``workers`` processes.  Each lambda's
+    replications, or the equidistant ones, are split into one block per
+    worker, unless a block of ``_BLOCK_ENTRIES / max(n_grid)`` adaptive
+    rows or a quarter as many equidistant rows is smaller; an equidistant
+    block covers the whole n grid.  Output does not depend on the worker
+    count.  Replications that exceed the bisection depth cap are dropped
+    and counted in the estimates they would have contributed to.  Fewer
+    than one worker raises ValueError.
     """
     if operator.index(workers) < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    estimates: list[ErrorEstimate] = []
     if plan.algorithm == ADAPTIVE:
+        lambdas = plan.lambdas
         blocks = _blocks(plan, workers, _BLOCK_ENTRIES // max(plan.n_grid))
-        for lam in plan.lambdas:
-            results = _map_tasks(run_replications, workers,
-                                 [plan] * len(blocks), [lam] * len(blocks), blocks)
-            samples = [sample for block in results for sample in block]
-            kept = [s for s in samples if s is not None]
-            dropped = len(samples) - len(kept)
-            for n in plan.n_grid:
-                estimates.append(_estimate_cell(
-                    ADAPTIVE, lam, plan, n,
-                    np.array([s.deltas[n] for s in kept]), dropped))
+        fn, tasks = run_replications, [(plan, lam, block) for lam in lambdas for block in blocks]
     else:
         # an equidistant row holds its normals, uniforms, path values and
         # the temporaries of segment_minima at once, about four arrays of
         # max(n_grid) entries, so a block takes a quarter of the adaptive
         # rows: as many rows as an adaptive block needed as much memory as
         # the search and raised a compare run's peak
+        lambdas = (None,)
         blocks = _blocks(plan, workers, _BLOCK_ENTRIES // (4 * max(plan.n_grid)))
-        results = _map_tasks(run_equidistant_replications, workers,
-                             [plan] * len(blocks), blocks)
-        samples = [sample for block in results for sample in block]
-        for n in plan.n_grid:
-            estimates.append(_estimate_cell(
-                EQUIDISTANT, None, plan, n, np.array([s.deltas[n] for s in samples]), 0))
+        fn, tasks = run_equidistant_replications, [(plan, block) for block in blocks]
+    results = _map_tasks(fn, workers, *zip(*tasks))
+    # one (replications, n grid) array per lambda; a NaN row was dropped
+    by_lambda = np.concatenate(results).reshape(len(lambdas), plan.replications, -1)
+    estimates = []
+    for lam, deltas in zip(lambdas, by_lambda):
+        kept = deltas[~np.isnan(deltas).any(axis=1)]
+        dropped = plan.replications - len(kept)
+        for n, column in zip(plan.n_grid, kept.T):
+            # a cell whose replications were all dropped keeps its row, so
+            # the count surfaces
+            lp, std = estimate_lp_error(column, plan.p) if len(kept) else (math.nan, math.nan)
+            estimates.append(ErrorEstimate(plan.algorithm, lam, plan.p, n, len(kept),
+                                           lp, std, dropped))
     return estimates
 
 
@@ -350,14 +344,6 @@ def _blocks(plan: ExperimentPlan, workers: int, rows: int) -> list[range]:
     rows = min(math.ceil(plan.replications / workers), max(1, rows))
     return [range(lo, min(lo + rows, plan.replications))
             for lo in range(0, plan.replications, rows)]
-
-
-def _estimate_cell(algorithm, lam, plan, n, deltas, dropped) -> ErrorEstimate:
-    if len(deltas) == 0:
-        # every replication was dropped; keep the row so the count surfaces
-        return ErrorEstimate(algorithm, lam, plan.p, n, 0, math.nan, math.nan, dropped)
-    lp, std = estimate_lp_error(deltas, plan.p)
-    return ErrorEstimate(algorithm, lam, plan.p, n, len(deltas), lp, std, dropped)
 
 
 def write_errors_csv(estimates: list[ErrorEstimate], path) -> None:

@@ -62,7 +62,6 @@ from .dyadic import (
     DepthExceededError,
     DyadicPoint,
     Skeleton,
-    _canonical,
 )
 from .oracle import PathOracle
 
@@ -261,7 +260,7 @@ def step(state: MinimizerState, oracle: PathOracle, config: MinimizerConfig) -> 
         raise FloatingPointError(f"split score {rho_max!r} of gap {next_split} at n={n}")
     state.next_split = next_split
     state.rho_max = rho_max
-    site = _canonical(skel._gap_nums[j], level)
+    site = skel._sites[-1]  # the split's new site, the last one evaluated
     return StepTrace(n, j, site, value, skel._min_value, skel._tau_level,
                      rho_max, math.exp(-2.0 / rho_max))
 
@@ -322,12 +321,17 @@ def search_block(normals: np.ndarray, lam: float, level_cap: int,
     right = np.empty((rows_count, n_max))
     levels = np.zeros((rows_count, n_max), dtype=np.int16)
     links = np.empty((rows_count, n_max), dtype=np.int32)
-    scores = np.empty((rows_count, n_max))
+    # unused slots score -inf, so an argmax over whole contiguous rows
+    # picks a used one and no strided view is copied; ``mirror`` holds
+    # slot j at n_max - 1 - j, so its first argmax is the last largest
+    scores = np.full((rows_count, n_max), -np.inf)
+    mirror = np.full((rows_count, n_max), -np.inf)
     # row r's slot j is entry r * n_max + j of each flat view: one flat
     # index gathers and scatters faster than a (row, slot) pair
-    left_flat, right_flat, levels_flat, links_flat, scores_flat = (
-        x.reshape(-1) for x in (left, right, levels, links, scores))
+    left_flat, right_flat, levels_flat, links_flat, scores_flat, mirror_flat = (
+        x.reshape(-1) for x in (left, right, levels, links, scores, mirror))
     base = np.arange(rows_count) * n_max
+    mirrored = 2 * base + (n_max - 1)  # mirrored - (r * n_max + j) is j's mirror entry
     # n = 1: the single gap [0, 1] in slot 0, the last gap in site order
     right[:, 0] = normals[:, 0]
     links[:, 0] = -1
@@ -363,20 +367,21 @@ def search_block(normals: np.ndarray, lam: float, level_cap: int,
         tau = np.maximum(tau, level)
         c = m - offset[tau]
         half = GAP_LENGTH[level]
-        scores_flat[at] = _score(half, a, value, c)
-        scores[:, new] = _score(half, value, b, c)
+        scores_flat[at] = mirror_flat[mirrored - at] = _score(half, a, value, c)
+        scores[:, new] = mirror[:, n_max - 1 - new] = _score(half, value, b, c)
         if len(moved):
-            scores[moved, :n] = _score(GAP_LENGTH[levels[moved, :n]], left[moved, :n],
-                                       right[moved, :n], c[moved, None])
+            rescored = _score(GAP_LENGTH[levels[moved, :n]], left[moved, :n],
+                              right[moved, :n], c[moved, None])
+            scores[moved, :n] = rescored
+            mirror[moved, n_max - n:] = rescored[:, ::-1]
         if n in column:
             m_n[:, column[n]] = m
-        current = scores[:, :n]
-        split = current.argmax(axis=1)
+        split = scores.argmax(axis=1)
         at = base + split
         if not np.isfinite(scores_flat[at]).all():
             raise FloatingPointError(f"non-finite split score at n={n}")
         if n < n_max:
-            last = n - 1 - current[:, ::-1].argmax(axis=1)
+            last = n_max - 1 - mirror.argmax(axis=1)
             for r in np.flatnonzero(split != last):
                 at[r] = base[r] + _leftmost_largest(scores[r, :n], links[r, :n], split[r])
 
@@ -449,17 +454,31 @@ def write_trace_csv(traces: list[StepTrace], path, deltas: np.ndarray | None = N
     those of ``csv.writer``.
     """
     header = "n,t_exact,t_float,value,M_n,tau_level,rho_max,undershoot_max"
-    row = "%d,%s,%.17g,%.17g,%.17g,%d,%.17g,%.17g"
+    row = "%d,%s,%.17g,%.17g,%s,%d,%.17g,%.17g"
+    m_n = _format_runs([tr.m_n for tr in traces])
     if deltas is None:
-        lines = [row % (tr.n, tr.site, float(tr.site), tr.value, tr.m_n, tr.tau_level,
-                        tr.rho_max, tr.undershoot_max) for tr in traces]
+        lines = [row % (tr.n, tr.site, float(tr.site), tr.value, m, tr.tau_level,
+                        tr.rho_max, tr.undershoot_max) for tr, m in zip(traces, m_n)]
     else:
         if len(deltas) != len(traces):
             raise ValueError("need one delta per trace row")
         header += ",delta_n"
-        row += ",%.17g"
-        lines = [row % (tr.n, tr.site, float(tr.site), tr.value, tr.m_n, tr.tau_level,
+        row += ",%s"
+        lines = [row % (tr.n, tr.site, float(tr.site), tr.value, m, tr.tau_level,
                         tr.rho_max, tr.undershoot_max, delta)
-                 for tr, delta in zip(traces, deltas)]
+                 for tr, m, delta in zip(traces, m_n, _format_runs(deltas))]
     with open(path, "w", newline="") as fh:
         fh.write("\r\n".join([header, *lines, ""]))
+
+
+def _format_runs(column) -> list[str]:
+    # "%.17g" % x for every entry, formatted once per run of entries with
+    # equal bits: M_n and delta_n change on few steps.  Bits, not values,
+    # since 0.0 and -0.0 are equal but print differently
+    column = np.asarray(column, dtype=float)
+    bits = column.view(np.int64)
+    starts = np.ones(len(bits), dtype=bool)
+    np.not_equal(bits[1:], bits[:-1], out=starts[1:])
+    starts = np.flatnonzero(starts)
+    texts = np.array(["%.17g" % x for x in column[starts].tolist()], dtype=object)
+    return np.repeat(texts, np.diff(starts, append=len(bits))).tolist()

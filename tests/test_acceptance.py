@@ -46,15 +46,14 @@ def adaptive_lam1():
     """1000 adaptive replications at lambda=1 run to n=512, as one block."""
     plan = ExperimentPlan(lambdas=(1.0,), n_grid=(32, 64, 128, 256, 512),
                           p=2.0, replications=1000, master_seed=SEED_MC)
-    samples = run_replications(plan, 1.0, range(plan.replications))
-    return {n: np.array([s.deltas[n] for s in samples]) for n in plan.n_grid}
+    deltas = run_replications(plan, 1.0, range(plan.replications))
+    return dict(zip(plan.n_grid, deltas.T))
 
 
 def _adaptive_deltas_at_256(lam):
     plan = ExperimentPlan(lambdas=(lam,), n_grid=(256,), p=2.0,
                           replications=1000, master_seed=SEED_MC)
-    return np.array([s.deltas[256]
-                     for s in run_replications(plan, lam, range(plan.replications))])
+    return run_replications(plan, lam, range(plan.replications))[:, 0]
 
 
 @pytest.fixture(scope="module")
@@ -71,8 +70,7 @@ def adaptive_lam8_256():
 def equidistant_8192():
     plan = ExperimentPlan(lambdas=(), n_grid=(8192,), p=2.0, replications=1000,
                           master_seed=SEED_MC, algorithm=EQUIDISTANT)
-    return np.array([run_equidistant(plan, 8192, r).deltas[8192]
-                     for r in range(plan.replications)])
+    return np.array([run_equidistant(plan, 8192, r) for r in range(plan.replications)])
 
 
 def _ks_distance(sample, cdf):

@@ -10,7 +10,6 @@ from brownmin.harness import (
     ADAPTIVE,
     EQUIDISTANT,
     ErrorEstimate,
-    ErrorSample,
     ExperimentPlan,
     equidistant_error,
     estimate_lp_error,
@@ -133,14 +132,13 @@ def test_sample_path_minimum_matches_flat_bridge_law():
 
 def test_run_replication_contract():
     plan = small_plan(n_grid=(4, 8, 16), replications=3)
-    sample = run_replication(plan, 1.0, 0)
-    assert sample == run_replication(plan, 1.0, 0)  # bit-identical rerun
-    assert list(sample.deltas) == [4, 8, 16]
-    deltas = np.array([sample.deltas[n] for n in (4, 8, 16)])
+    deltas = run_replication(plan, 1.0, 0)
+    assert np.array_equal(deltas, run_replication(plan, 1.0, 0))  # bit-identical rerun
+    assert deltas.shape == (3,)  # one error per n in (4, 8, 16)
     assert np.all(deltas >= 0.0)
     assert np.all(np.diff(deltas) <= 0.0)
     other = run_replication(plan, 1.0, 1)
-    assert other.deltas != sample.deltas
+    assert not np.array_equal(other, deltas)
 
 
 def test_replication_paths_shared_across_lambdas():
@@ -148,12 +146,13 @@ def test_replication_paths_shared_across_lambdas():
     plan = small_plan(lambdas=(1.0, 4.0), n_grid=(2,))
     a = run_replication(plan, 1.0, 5)
     b = run_replication(plan, 4.0, 5)
-    # the first two evaluations are nonadaptive, so W(1), W(1/2) agree:
-    # identical delta at n=2 would require the same true-min draw as well
+    # the first two evaluations are nonadaptive, so W(1), W(1/2) agree,
+    # and the true-min stream depends on the replication only as well: the
+    # delta at n=2 is the same for both lambdas
     oracle_a = BrownianOracle(RngStream(42, 0, 5, 0))
     w1 = oracle_a.evaluate(ONE)
     assert w1 == pytest.approx(w1)  # stream reconstruction sanity
-    assert a.replication == b.replication == 5
+    assert np.array_equal(a, b)
 
 
 def test_algorithms_use_distinct_stream_namespaces():
@@ -175,10 +174,10 @@ def test_equidistant_error_core_example():
 
 def test_run_equidistant_contract():
     plan = small_plan(algorithm=EQUIDISTANT, n_grid=(16,))
-    sample = run_equidistant(plan, 16, 2)
-    assert sample == run_equidistant(plan, 16, 2)
-    assert list(sample.deltas) == [16]
-    assert sample.deltas[16] >= 0.0
+    delta = run_equidistant(plan, 16, 2)
+    assert delta == run_equidistant(plan, 16, 2)
+    assert type(delta) is float
+    assert delta >= 0.0
     with pytest.raises(ValueError):
         run_equidistant(plan, 0, 1)
 
@@ -201,25 +200,24 @@ def _equidistant_reference(plan, n, replication):
 def test_equidistant_blocks_equal_single_replications(monkeypatch):
     plan = small_plan(lambdas=(), algorithm=EQUIDISTANT, n_grid=(16, 64, 512), replications=70)
     reps = range(plan.replications)
-    by_rows = {rows: [s for lo in range(0, len(reps), rows)
-                      for s in run_equidistant_replications(plan, reps[lo : lo + rows])]
+    by_rows = {rows: np.concatenate([run_equidistant_replications(plan, reps[lo : lo + rows])
+                                     for lo in range(0, len(reps), rows)])
                for rows in (1, 5, len(reps))}
-    samples = by_rows[1]
-    assert by_rows[5] == samples and by_rows[len(reps)] == samples
-    assert [s.replication for s in samples] == list(reps)
-    for s in samples:
-        assert list(s.deltas) == list(plan.n_grid)
-        for n, delta in s.deltas.items():
-            assert delta == pytest.approx(_equidistant_reference(plan, n, s.replication),
+    deltas = by_rows[1]
+    assert np.array_equal(by_rows[5], deltas) and np.array_equal(by_rows[len(reps)], deltas)
+    assert deltas.shape == (len(reps), len(plan.n_grid))
+    for r in reps:
+        for n, delta in zip(plan.n_grid, deltas[r].tolist()):
+            assert delta == pytest.approx(_equidistant_reference(plan, n, r),
                                           rel=1e-12, abs=0.0)
     # run_equidistant is the one-row, one-size case
-    for n in plan.n_grid:
-        assert run_equidistant(plan, n, 3) == ErrorSample(3, {n: samples[3].deltas[n]})
+    for n, delta in zip(plan.n_grid, deltas[3].tolist()):
+        assert run_equidistant(plan, n, 3) == delta
     # run_experiment at the default block size (more than one block), on 1
     # and 2 workers, and at blocks of 5 rows and of 1
     expected = [ErrorEstimate(EQUIDISTANT, None, plan.p, n, len(reps),
-                              *estimate_lp_error(np.array([s.deltas[n] for s in samples]), plan.p))
-                for n in plan.n_grid]
+                              *estimate_lp_error(column.copy(), plan.p))
+                for n, column in zip(plan.n_grid, deltas.T)]
     assert harness._BLOCK_ENTRIES // (4 * 512) < len(reps)
     assert run_experiment(plan, workers=1) == expected
     assert run_experiment(plan, workers=2) == expected
@@ -312,8 +310,10 @@ def test_run_experiment_shape_and_worker_independence():
         run_experiment(plan, workers=1.5)
 
 
-def test_pool_size_is_bounded_by_tasks_and_cpus(monkeypatch):
-    # a recording stand-in for the process pool: it starts no process
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Sizes of the process pools run_experiment opens, through a
+    recording stand-in for the pool that starts no process."""
     sizes = []
 
     class RecordingPool:
@@ -331,20 +331,32 @@ def test_pool_size_is_bounded_by_tasks_and_cpus(monkeypatch):
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 4)
+    return sizes
+
+
+def test_pool_size_is_bounded_by_tasks_and_cpus(pool_sizes):
     plan = small_plan(replications=3)
     serial = run_experiment(plan, workers=1)
     assert run_experiment(plan, workers=100_000) == serial  # 3 blocks of 1
     assert run_experiment(plan, workers=2) == serial  # blocks of 2 and 1
     equidistant = small_plan(lambdas=(), replications=10, algorithm=EQUIDISTANT)
     assert run_experiment(equidistant, workers=100_000) == run_experiment(equidistant)
-    assert sizes == [3, 2, 4]
+    assert pool_sizes == [3, 2, 4]
 
 
-def _replication_or_none(plan, lam, replication):
+def test_one_pool_serves_every_lambda(pool_sizes):
+    # every (lambda, block) pair is one work item of a single map: one
+    # pool per run_experiment call, not one per lambda
+    plan = small_plan(lambdas=(1.0, 2.0, 4.0), replications=4)
+    assert run_experiment(plan, workers=2) == run_experiment(plan)
+    assert pool_sizes == [2]
+
+
+def _replication_or_nan(plan, lam, replication):
     try:
         return run_replication(plan, lam, replication)
     except DepthExceededError:
-        return None
+        return np.full(len(plan.n_grid), math.nan)
 
 
 @pytest.mark.parametrize("lam", [1.0, 8.0])
@@ -352,12 +364,15 @@ def _replication_or_none(plan, lam, replication):
 def test_block_search_equals_per_path_search(lam, level_cap):
     plan = small_plan(lambdas=(lam,), n_grid=(2, 16, 100, 256), replications=64,
                       level_cap=level_cap)
-    reference = [_replication_or_none(plan, lam, r) for r in range(64)]
+    reference = np.array([_replication_or_nan(plan, lam, r) for r in range(64)])
+    capped = np.isnan(reference).all(axis=1)
+    assert np.array_equal(capped, np.isnan(reference).any(axis=1))
     if level_cap == 14:
-        assert 0 < sum(s is None for s in reference) < 64  # some rows drop, not all
+        assert 0 < capped.sum() < 64  # some rows drop, not all
     for rows in (1, 5, 64):
         blocks = [range(lo, min(lo + rows, 64)) for lo in range(0, 64, rows)]
-        assert [s for b in blocks for s in run_replications(plan, lam, b)] == reference
+        deltas = np.concatenate([run_replications(plan, lam, b) for b in blocks])
+        assert np.array_equal(deltas, reference, equal_nan=True)
 
 
 def test_block_search_breaks_ties_like_the_per_path_search():
