@@ -34,6 +34,7 @@ from .harness import (
     run_equidistant,
     run_equidistant_replications,
     run_experiment,
+    run_experiments,
     run_replication,
     run_replications,
     sample_path_minimum,
@@ -98,6 +99,7 @@ __all__ = [
     "run_equidistant",
     "run_equidistant_replications",
     "run_experiment",
+    "run_experiments",
     "run_replication",
     "run_replications",
     "sample_path_minimum",

@@ -24,6 +24,7 @@ from .harness import (
     lambda_suggestion,
     path_stream,
     run_experiment,
+    run_experiments,
     sample_true_min,
     true_min_stream,
     write_errors_csv,
@@ -128,8 +129,7 @@ def _experiment(args, parser) -> int:
 def _compare(args, parser) -> int:
     adaptive_plan = _plan_from_args(args, parser, ADAPTIVE)
     equidistant_plan = _plan_from_args(args, parser, EQUIDISTANT)
-    estimates = run_experiment(adaptive_plan, workers=args.threads)
-    estimates += run_experiment(equidistant_plan, workers=args.threads)
+    estimates = run_experiments((adaptive_plan, equidistant_plan), workers=args.threads)
     write_errors_csv(estimates, args.out)
     return 0
 

@@ -12,17 +12,20 @@ every intermediate n, which keeps the per-path error trace internally
 consistent.  All randomness is addressed by (master_seed, namespace,
 replication, role), so results are byte-identical under any worker count.
 
-:func:`run_experiment` hands out work items that are blocks of contiguous
-replications, for both algorithms, as one work list for the whole plan:
-every (lambda, block) pair is one item, so a call opens at most one
-process pool.  :func:`run_replications` searches an adaptive block in
-lockstep with :func:`~brownmin.minimizer.search_block` and draws the true
-minima of all its rows in one call; :func:`run_equidistant_replications`
-computes an equidistant block's cumulative sums, discrete minima and
-bridge minima per grid size over one (rows, n) array.  Both return a
-(rows, n grid) array of errors, with a NaN row for a replication that
-exceeded the depth cap, and one loop aggregates the columns of either.
-Every row takes its draws from its own streams, so a block reproduces
+:func:`run_experiments` hands out work items that are blocks of
+contiguous replications, for both algorithms, as one work list for all
+its plans: every (plan, lambda, block) triple is one item, so a call, and
+with it a ``compare`` run, opens at most one process pool;
+:func:`run_experiment` is its one-plan case.  :func:`run_replications`
+searches an adaptive block in lockstep with
+:func:`~brownmin.minimizer.search_block` and draws the true minima of all
+its rows in one call; :func:`run_equidistant_replications` computes an
+equidistant block's cumulative sums, discrete minima and bridge minima per
+grid size over one (rows, n) array.  Both return a (rows, n grid) array of
+errors, with a NaN row for a replication that exceeded the depth cap, and
+one loop aggregates the columns of either.  A block draws every row from
+that row's own streams, keyed for all rows at once
+(:func:`~brownmin.rng.gaussian_rows`), so a block reproduces
 :func:`run_replication` and :func:`run_equidistant` bit for bit, and the
 output bytes depend on neither the block size nor the worker count.
 """
@@ -33,7 +36,6 @@ import csv
 import math
 import operator
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -42,7 +44,7 @@ from .bridge import segment_minima
 from .dyadic import DEFAULT_LEVEL_CAP, MAX_LEVEL_CAP, Skeleton
 from .minimizer import MinimizerConfig, run, search_block
 from .oracle import BrownianOracle
-from .rng import RngStream
+from .rng import RngStream, gaussian_rows, uniform_open_closed_rows
 
 ADAPTIVE = "adaptive"
 EQUIDISTANT = "equidistant"
@@ -118,6 +120,12 @@ def true_min_stream(plan: ExperimentPlan, algorithm: str, replication: int) -> R
     return RngStream(plan.master_seed, _NS[algorithm], replication, _ROLE_TRUE_MIN)
 
 
+def _stream_keys(algorithm: str, replications, role: int) -> list[tuple[int, int, int]]:
+    # the keys of path_stream (role _ROLE_PATH) or true_min_stream
+    # (_ROLE_TRUE_MIN) for each replication, for the block draws of rng
+    return [(_NS[algorithm], replication, role) for replication in replications]
+
+
 def sample_path_minimum(values: np.ndarray, lengths: np.ndarray, stream: RngStream) -> float:
     """Exact draw of the path minimum given endpoint values per segment."""
     uniforms = stream.uniform_open_closed(len(lengths))
@@ -164,21 +172,16 @@ def run_replications(plan: ExperimentPlan, lam: float, replications) -> np.ndarr
     """
     replications = list(replications)
     n_max = max(plan.n_grid)
-    normals = np.empty((len(replications), n_max))
-    for row, replication in enumerate(replications):
-        normals[row] = path_stream(plan, ADAPTIVE, replication).gaussians(n_max)
+    normals = gaussian_rows(plan.master_seed, _stream_keys(ADAPTIVE, replications, _ROLE_PATH),
+                            n_max)
     block = search_block(normals, lam, plan.level_cap, plan.n_grid)
-    # the uniforms reuse the normals' memory.  A capped row is dropped and
-    # draws nothing; zero values and uniforms of 1 keep it a valid input
-    uniforms = normals
-    uniforms[block.capped] = 1.0
-    block.values[block.capped] = 0.0
-    for row in np.flatnonzero(~block.capped):
-        stream = true_min_stream(plan, ADAPTIVE, replications[row])
-        uniforms[row] = stream.uniform_open_closed(n_max)
-    true_min = segment_minima(block.values, block.lengths, uniforms).min(axis=1)
-    deltas = block.m_n - true_min[:, None]
-    deltas[block.capped] = math.nan
+    # a capped row is dropped and draws nothing
+    kept = np.flatnonzero(~block.capped)
+    keys = _stream_keys(ADAPTIVE, [replications[row] for row in kept], _ROLE_TRUE_MIN)
+    uniforms = uniform_open_closed_rows(plan.master_seed, keys, n_max)
+    true_min = segment_minima(block.values[kept], block.lengths[kept], uniforms).min(axis=1)
+    deltas = np.full(block.m_n.shape, math.nan)
+    deltas[kept] = block.m_n[kept] - true_min[:, None]
     return deltas
 
 
@@ -221,11 +224,10 @@ def run_equidistant_replications(plan: ExperimentPlan, replications) -> np.ndarr
     """
     replications = list(replications)
     n_max = max(plan.n_grid)
-    normals = np.empty((len(replications), n_max))
-    uniforms = np.empty((len(replications), n_max))
-    for row, replication in enumerate(replications):
-        normals[row] = path_stream(plan, EQUIDISTANT, replication).gaussians(n_max)
-        uniforms[row] = true_min_stream(plan, EQUIDISTANT, replication).uniform_open_closed(n_max)
+    normals = gaussian_rows(plan.master_seed,
+                            _stream_keys(EQUIDISTANT, replications, _ROLE_PATH), n_max)
+    uniforms = uniform_open_closed_rows(
+        plan.master_seed, _stream_keys(EQUIDISTANT, replications, _ROLE_TRUE_MIN), n_max)
     return np.stack([equidistant_error(normals[:, :n] * math.sqrt(1.0 / n), uniforms[:, :n])
                      for n in plan.n_grid], axis=-1)
 
@@ -289,44 +291,67 @@ def _map_tasks(fn, workers: int, *columns):
     workers = min(workers, tasks, _usable_cpus())
     if workers <= 1:
         return list(map(fn, *columns))
+    # imported only where a pool opens: the pool machinery takes about a
+    # tenth of the time that importing the command line takes
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = max(1, tasks // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, *columns, chunksize=chunk))
 
 
-def run_experiment(plan: ExperimentPlan, workers: int = 1) -> list[ErrorEstimate]:
-    """Run the full plan and aggregate one estimate per (lambda, n) cell.
+def _run_block(plan: ExperimentPlan, lam: float | None, replications: range) -> np.ndarray:
+    # one work item: an adaptive block at lam, or an equidistant block
+    if plan.algorithm == ADAPTIVE:
+        return run_replications(plan, lam, replications)
+    return run_equidistant_replications(plan, replications)
 
-    Work items are blocks of contiguous replications, one list for the
-    whole plan mapped over at most ``workers`` processes.  Each lambda's
-    replications, or the equidistant ones, are split into one block per
-    worker, unless a block of ``_BLOCK_ENTRIES / max(n_grid)`` adaptive
-    rows or a quarter as many equidistant rows is smaller; an equidistant
-    block covers the whole n grid.  Output does not depend on the worker
-    count.  Replications that exceed the bisection depth cap are dropped
-    and counted in the estimates they would have contributed to.  Fewer
-    than one worker raises ValueError.
+
+def run_experiment(plan: ExperimentPlan, workers: int = 1) -> list[ErrorEstimate]:
+    """Run the full plan and aggregate one estimate per (lambda, n) cell:
+    the one-plan case of :func:`run_experiments`."""
+    return run_experiments((plan,), workers)
+
+
+def run_experiments(plans, workers: int = 1) -> list[ErrorEstimate]:
+    """Run several plans as one work list and return their estimates in
+    plan order, one per (lambda, n) cell of each.
+
+    Work items are blocks of contiguous replications, one list for every
+    plan mapped over at most ``workers`` processes, so a call opens at
+    most one process pool.  Each lambda's replications, or the equidistant
+    ones, are split into one block per worker, unless a block of
+    ``_BLOCK_ENTRIES / max(n_grid)`` adaptive rows or a quarter as many
+    equidistant rows is smaller; an equidistant block covers the whole n
+    grid.  Output does not depend on the worker count.  Replications that
+    exceed the bisection depth cap are dropped and counted in the
+    estimates they would have contributed to.  Fewer than one worker
+    raises ValueError.
     """
     if operator.index(workers) < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if plan.algorithm == ADAPTIVE:
-        lambdas = plan.lambdas
-        blocks = _blocks(plan, workers, _BLOCK_ENTRIES // max(plan.n_grid))
-        fn, tasks = run_replications, [(plan, lam, block) for lam in lambdas for block in blocks]
-    else:
-        # an equidistant row holds its normals, uniforms, path values and
-        # the temporaries of segment_minima at once, about four arrays of
-        # max(n_grid) entries, so a block takes a quarter of the adaptive
-        # rows: as many rows as an adaptive block needed as much memory as
-        # the search and raised a compare run's peak
-        lambdas = (None,)
-        blocks = _blocks(plan, workers, _BLOCK_ENTRIES // (4 * max(plan.n_grid)))
-        fn, tasks = run_equidistant_replications, [(plan, block) for block in blocks]
-    results = _map_tasks(fn, workers, *zip(*tasks))
-    # one (replications, n grid) array per lambda; a NaN row was dropped
-    by_lambda = np.concatenate(results).reshape(len(lambdas), plan.replications, -1)
+    cells, tasks = [], []
+    for plan in plans:
+        if plan.algorithm == ADAPTIVE:
+            lambdas = plan.lambdas
+            blocks = _blocks(plan, workers, _BLOCK_ENTRIES // max(plan.n_grid))
+        else:
+            # an equidistant row holds its normals, uniforms, path values
+            # and the temporaries of segment_minima at once, about four
+            # arrays of max(n_grid) entries, so a block takes a quarter of
+            # the adaptive rows: as many rows as an adaptive block needed
+            # as much memory as the search and raised a compare run's peak
+            lambdas = (None,)
+            blocks = _blocks(plan, workers, _BLOCK_ENTRIES // (4 * max(plan.n_grid)))
+        cells += [(plan, lam, len(blocks)) for lam in lambdas]
+        tasks += [(plan, lam, block) for lam in lambdas for block in blocks]
+    if not tasks:
+        return []
+    results = iter(_map_tasks(_run_block, workers, *zip(*tasks)))
     estimates = []
-    for lam, deltas in zip(lambdas, by_lambda):
+    for plan, lam, blocks in cells:
+        # a (replications, n grid) array; a NaN row was dropped
+        deltas = np.concatenate([next(results) for _ in range(blocks)])
         kept = deltas[~np.isnan(deltas).any(axis=1)]
         dropped = plan.replications - len(kept)
         for n, column in zip(plan.n_grid, kept.T):

@@ -33,13 +33,17 @@ right value, the level, the score and a link to the next gap in site
 order; splitting the gap in slot j overwrites it with the left half and
 appends the right half in a new slot, so no row ever shifts.  A row whose
 minimum or smallest gap moved is rescored in full, every other row scores
-its two new gaps.  Slots are not in site order, so the first argmax of a
-row is the split of the per-path search only when the largest score is
-unique; a row whose first and last argmax differ walks its links and
-splits the leftmost gap in site order that holds the largest score.  The
-block takes the same normals and evaluates the same float expressions as
-:func:`run` on a :class:`~brownmin.oracle.BrownianOracle`, so every M_n
-and every final value agrees bit for bit.
+its two new gaps.  A row holds a few dozen slots at first and doubles
+them, never past the block's N, when its searches need one more, so a
+step's argmax scans about n slots of each row, not N.  Slots are not in
+site order, so the first argmax of a row is the split of the per-path
+search only when the largest score is unique.  A second argmax with the
+chosen slots set to -inf finds the rows where another slot holds the same
+score; such a row walks its links and splits the leftmost gap in site
+order that holds the largest score.  The block takes the same normals and
+evaluates the same float expressions as :func:`run` on a
+:class:`~brownmin.oracle.BrownianOracle`, so every M_n and every final
+value agrees bit for bit.
 """
 
 from __future__ import annotations
@@ -292,6 +296,10 @@ class BlockResult(NamedTuple):
     lengths: np.ndarray
 
 
+# slots per row a lockstep block starts with
+_FIRST_WIDTH = 32
+
+
 def search_block(normals: np.ndarray, lam: float, level_cap: int,
                  record) -> BlockResult:
     """Run one search per row of ``normals`` (R, N) in lockstep.
@@ -299,7 +307,7 @@ def search_block(normals: np.ndarray, lam: float, level_cap: int,
     Row r is the search of :func:`run` to N evaluations on a Brownian path
     whose k-th new site takes the normal ``normals[r, k]``, as a
     :class:`~brownmin.oracle.BrownianOracle` does; M_n is recorded at each
-    n in ``record``.  A row that needs a split deeper than ``level_cap``
+    n in ``record``, where a repeated n raises ValueError.  A row that needs a split deeper than ``level_cap``
     is marked in ``capped`` where the per-path search raises
     DepthExceededError.  A non-finite largest score in any row raises
     FloatingPointError, as :func:`step` does.
@@ -312,31 +320,34 @@ def search_block(normals: np.ndarray, lam: float, level_cap: int,
     record = [operator.index(n) for n in record]
     if not all(2 <= n <= n_max for n in record):
         raise ValueError(f"recorded n must lie in [2, {n_max}], got {record}")
+    if len(set(record)) != len(record):
+        raise ValueError(f"recorded n must not repeat, got {record}")
 
     # the scalar search offset per level (math.log, which np.log may miss
     # by one ulp); lengths and midpoint spreads come from the dyadic tables
     offset = np.array([search_offset(length, lam) for length in GAP_LENGTH[: level_cap + 1]])
+    columns = np.ascontiguousarray(normals.T)  # step k reads row k
 
-    left = np.zeros((rows_count, n_max))
-    right = np.empty((rows_count, n_max))
-    levels = np.zeros((rows_count, n_max), dtype=np.int16)
-    links = np.empty((rows_count, n_max), dtype=np.int32)
+    # a row holds ``width`` slots, doubled (never past n_max) when its
+    # searches need one more, so each step scans about n slots, not n_max
+    width = min(n_max, _FIRST_WIDTH)
+    left = np.zeros((rows_count, width))
+    right = np.empty((rows_count, width))
+    levels = np.zeros((rows_count, width), dtype=np.int16)
+    links = np.empty((rows_count, width), dtype=np.int32)
     # unused slots score -inf, so an argmax over whole contiguous rows
-    # picks a used one and no strided view is copied; ``mirror`` holds
-    # slot j at n_max - 1 - j, so its first argmax is the last largest
-    scores = np.full((rows_count, n_max), -np.inf)
-    mirror = np.full((rows_count, n_max), -np.inf)
-    # row r's slot j is entry r * n_max + j of each flat view: one flat
-    # index gathers and scatters faster than a (row, slot) pair
-    left_flat, right_flat, levels_flat, links_flat, scores_flat, mirror_flat = (
-        x.reshape(-1) for x in (left, right, levels, links, scores, mirror))
-    base = np.arange(rows_count) * n_max
-    mirrored = 2 * base + (n_max - 1)  # mirrored - (r * n_max + j) is j's mirror entry
+    # picks a used one and no strided view is copied
+    scores = np.full((rows_count, width), -np.inf)
     # n = 1: the single gap [0, 1] in slot 0, the last gap in site order
-    right[:, 0] = normals[:, 0]
+    right[:, 0] = columns[0]
     links[:, 0] = -1
-    m = np.where(normals[:, 0] < 0.0, normals[:, 0], 0.0)
+    m = np.where(columns[0] < 0.0, columns[0], 0.0)
     tau = np.zeros(rows_count, dtype=np.int16)
+    # row r's slot j is entry r * width + j of each flat view: one flat
+    # index gathers and scatters faster than a (row, slot) pair
+    left_flat, right_flat, levels_flat, links_flat, scores_flat = (
+        x.reshape(-1) for x in (left, right, levels, links, scores))
+    base = np.arange(rows_count) * width
     at = base.copy()  # flat index of the slot each row splits next
     capped = np.zeros(rows_count, dtype=bool)
     m_n = np.empty((rows_count, len(record)))
@@ -344,10 +355,18 @@ def search_block(normals: np.ndarray, lam: float, level_cap: int,
 
     for n in range(2, n_max + 1):
         new = n - 1  # slot of the right half
+        if new == width:
+            width = min(2 * width, n_max)
+            left, right, levels, links = (_widen(x, width) for x in (left, right, levels, links))
+            scores = _widen(scores, width, -np.inf)
+            at += np.arange(rows_count) * width - base
+            base = np.arange(rows_count) * width
+            left_flat, right_flat, levels_flat, links_flat, scores_flat = (
+                x.reshape(-1) for x in (left, right, levels, links, scores))
         a = left_flat[at]
         b = right_flat[at]
         parent = levels_flat[at]
-        value = a + 0.5 * (b - a) + MIDPOINT_SD[parent] * normals[:, n - 1]
+        value = a + 0.5 * (b - a) + MIDPOINT_SD.take(parent) * columns[new]
         level = parent + 1
         deep = level > level_cap
         if deep.any():
@@ -365,24 +384,28 @@ def search_block(normals: np.ndarray, lam: float, level_cap: int,
         moved = np.flatnonzero(lower | (level > tau))
         m = np.where(lower, value, m)
         tau = np.maximum(tau, level)
-        c = m - offset[tau]
-        half = GAP_LENGTH[level]
-        scores_flat[at] = mirror_flat[mirrored - at] = _score(half, a, value, c)
-        scores[:, new] = mirror[:, n_max - 1 - new] = _score(half, value, b, c)
+        c = m - offset.take(tau)
+        half = GAP_LENGTH.take(level)
+        scores_flat[at] = _score(half, a, value, c)
+        scores[:, new] = _score(half, value, b, c)
         if len(moved):
-            rescored = _score(GAP_LENGTH[levels[moved, :n]], left[moved, :n],
-                              right[moved, :n], c[moved, None])
-            scores[moved, :n] = rescored
-            mirror[moved, n_max - n:] = rescored[:, ::-1]
+            scores[moved, :n] = _score(GAP_LENGTH.take(levels[moved, :n]), left[moved, :n],
+                                       right[moved, :n], c[moved, None])
         if n in column:
             m_n[:, column[n]] = m
         split = scores.argmax(axis=1)
         at = base + split
-        if not np.isfinite(scores_flat[at]).all():
+        best = scores_flat[at]
+        if not np.isfinite(best).all():
             raise FloatingPointError(f"non-finite split score at n={n}")
         if n < n_max:
-            last = n_max - 1 - mirror.argmax(axis=1)
-            for r in np.flatnonzero(split != last):
+            # the first argmax is the per-path split unless another slot
+            # holds the same score: a row whose largest score is also its
+            # largest with the chosen slot masked walks its links
+            scores_flat[at] = -np.inf
+            tied = np.flatnonzero(scores_flat[base + scores.argmax(axis=1)] == best)
+            scores_flat[at] = best
+            for r in tied:
                 at[r] = base[r] + _leftmost_largest(scores[r, :n], links[r, :n], split[r])
 
     values = np.empty((rows_count, n_max + 1))
@@ -394,7 +417,14 @@ def search_block(normals: np.ndarray, lam: float, level_cap: int,
         last = at
         at = base + links_flat[at]
     values[:, n_max] = right_flat[last]
-    return BlockResult(m_n, capped, values, GAP_LENGTH[site_levels])
+    return BlockResult(m_n, capped, values, GAP_LENGTH.take(site_levels))
+
+
+def _widen(slots: np.ndarray, width: int, fill=0) -> np.ndarray:
+    # the (rows, width) array that starts with ``slots``, then ``fill``
+    wider = np.full((slots.shape[0], width), fill, dtype=slots.dtype)
+    wider[:, : slots.shape[1]] = slots
+    return wider
 
 
 def _leftmost_largest(scores: np.ndarray, links: np.ndarray, first: int) -> int:

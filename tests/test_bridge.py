@@ -10,7 +10,7 @@ from brownmin.bridge import (
     interior_sample,
     segment_minima,
 )
-from brownmin.rng import RngStream
+from brownmin.rng import RngStream, gaussian_rows, uniform_open_closed_rows
 
 
 def test_segment_validation():
@@ -248,3 +248,18 @@ def test_stream_gaussian_moments():
 def test_stream_uniform_open_closed():
     u = RngStream(55, 2).uniform_open_closed(10_000)
     assert np.all(u > 0.0) and np.all(u <= 1.0)
+
+
+@pytest.mark.parametrize("master_seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130])
+def test_block_streams_equal_single_streams(master_seed):
+    # 2**130 has more entropy words than the seed pool; replication 2**32
+    # is a two-word key entry, mixed in one call with one-word entries
+    keys = [(ns, replication, role) for replication in (0, 1, 2**32 - 1, 2**32)
+            for ns in (0, 1) for role in (0, 1)]
+    gaussians = gaussian_rows(master_seed, keys, 40)
+    uniforms = uniform_open_closed_rows(master_seed, keys, 40)
+    assert gaussians.shape == uniforms.shape == (len(keys), 40)
+    for key, normal_row, uniform_row in zip(keys, gaussians, uniforms):
+        assert np.array_equal(normal_row, RngStream(master_seed, *key).gaussians(40))
+        assert np.array_equal(uniform_row, RngStream(master_seed, *key).uniform_open_closed(40))
+    assert gaussian_rows(master_seed, [], 40).shape == (0, 40)

@@ -1,4 +1,8 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,6 +116,16 @@ def test_threads_do_not_change_output(tmp_path):
         assert code == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_import_loads_no_process_pool():
+    # the pool machinery is imported only where a run opens a pool; it was
+    # about a tenth of the command line's import time
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, brownmin.cli; print([m for m in sys.modules if 'multiprocessing' in m])"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=str(src)), timeout=60, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def test_suggest_lambda(capsys):

@@ -1,9 +1,10 @@
+import concurrent.futures
 import math
 
 import numpy as np
 import pytest
 
-from brownmin import harness
+from brownmin import cli, harness
 from brownmin.bridge import BridgeSegment, bridge_min_sample, segment_minima
 from brownmin.dyadic import ONE, DepthExceededError, DyadicPoint, Skeleton
 from brownmin.harness import (
@@ -232,14 +233,14 @@ def test_blocks_stay_within_the_memory_bound(monkeypatch):
     map_tasks = harness._map_tasks
 
     def recording(fn, workers, *columns):
-        mapped.append((fn, list(columns[-1])))
+        mapped.append(({plan.algorithm for plan in columns[0]}, list(columns[-1])))
         return map_tasks(fn, workers, *columns)
 
     monkeypatch.setattr(harness, "_map_tasks", recording)
     for algorithm in (ADAPTIVE, EQUIDISTANT):
         run_experiment(small_plan(algorithm=algorithm, n_grid=(16, 512), replications=300))
-    (adaptive_fn, adaptive), (equidistant_fn, equidistant) = mapped
-    assert adaptive_fn is run_replications and equidistant_fn is run_equidistant_replications
+    (adaptive_kind, adaptive), (equidistant_kind, equidistant) = mapped
+    assert adaptive_kind == {ADAPTIVE} and equidistant_kind == {EQUIDISTANT}
     for blocks, entries in ((adaptive, harness._BLOCK_ENTRIES),
                             (equidistant, harness._BLOCK_ENTRIES // 4)):
         assert len(blocks) > 1
@@ -313,7 +314,8 @@ def test_run_experiment_shape_and_worker_independence():
 @pytest.fixture
 def pool_sizes(monkeypatch):
     """Sizes of the process pools run_experiment opens, through a
-    recording stand-in for the pool that starts no process."""
+    recording stand-in for the pool that starts no process.  The harness
+    imports the pool from concurrent.futures when it opens one."""
     sizes = []
 
     class RecordingPool:
@@ -329,7 +331,7 @@ def pool_sizes(monkeypatch):
         def map(self, fn, *columns, chunksize=1):
             return map(fn, *columns)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 4)
     return sizes
 
@@ -352,6 +354,20 @@ def test_one_pool_serves_every_lambda(pool_sizes):
     assert pool_sizes == [2]
 
 
+def test_compare_opens_one_pool(pool_sizes, tmp_path):
+    # the adaptive and the equidistant blocks of a compare run are one
+    # work list: one pool, not one per algorithm
+    def compare(threads):
+        out = tmp_path / f"{threads}.csv"
+        assert cli.main(["compare", "--lambdas", "1,2", "--p", "2", "--reps", "4",
+                         "--n-grid", "4,8", "--seed", "3", "--threads", str(threads),
+                         "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    assert compare(2) == compare(1)
+    assert pool_sizes == [2]
+
+
 def _replication_or_nan(plan, lam, replication):
     try:
         return run_replication(plan, lam, replication)
@@ -362,17 +378,20 @@ def _replication_or_nan(plan, lam, replication):
 @pytest.mark.parametrize("lam", [1.0, 8.0])
 @pytest.mark.parametrize("level_cap", [14, 16])
 def test_block_search_equals_per_path_search(lam, level_cap):
-    plan = small_plan(lambdas=(lam,), n_grid=(2, 16, 100, 256), replications=64,
-                      level_cap=level_cap)
-    reference = np.array([_replication_or_nan(plan, lam, r) for r in range(64)])
-    capped = np.isnan(reference).all(axis=1)
-    assert np.array_equal(capped, np.isnan(reference).any(axis=1))
-    if level_cap == 14:
-        assert 0 < capped.sum() < 64  # some rows drop, not all
-    for rows in (1, 5, 64):
-        blocks = [range(lo, min(lo + rows, 64)) for lo in range(0, 64, rows)]
-        deltas = np.concatenate([run_replications(plan, lam, b) for b in blocks])
-        assert np.array_equal(deltas, reference, equal_nan=True)
+    # the second grid ends one step past a doubling of the block's row
+    # width, so the rows have just grown when the search ends
+    for n_grid in ((2, 16, 100, 256), (2, 33, 100, 257)):
+        plan = small_plan(lambdas=(lam,), n_grid=n_grid, replications=64,
+                          level_cap=level_cap)
+        reference = np.array([_replication_or_nan(plan, lam, r) for r in range(64)])
+        capped = np.isnan(reference).all(axis=1)
+        assert np.array_equal(capped, np.isnan(reference).any(axis=1))
+        if level_cap == 14:
+            assert 0 < capped.sum() < 64  # some rows drop, not all
+        for rows in (1, 5, 64):
+            blocks = [range(lo, min(lo + rows, 64)) for lo in range(0, 64, rows)]
+            deltas = np.concatenate([run_replications(plan, lam, b) for b in blocks])
+            assert np.array_equal(deltas, reference, equal_nan=True)
 
 
 def test_block_search_breaks_ties_like_the_per_path_search():
@@ -393,9 +412,10 @@ def test_block_search_breaks_ties_like_the_per_path_search():
 def test_search_block_validation():
     normals = np.zeros((2, 8))
     search_block(normals, 1.0, 1000, (2, 8))
+    # a repeated n left the earlier M_n column unwritten
     for args in ((np.zeros(8), 1.0, 1000, (8,)), (normals, 0.5, 1000, (8,)),
                  (normals, 1.0, 1, (8,)), (normals, 1.0, 1000, (1,)),
-                 (normals, 1.0, 1000, (9,))):
+                 (normals, 1.0, 1000, (9,)), (normals, 1.0, 1000, (4, 4))):
         with pytest.raises(ValueError):
             search_block(*args)
     for args in ((normals, 1.0, 1000, (7.5,)), (normals, 1.0, 20.5, (8,))):
