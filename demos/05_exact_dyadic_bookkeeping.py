@@ -15,6 +15,7 @@ from brownmin import (
     DyadicPoint,
     MinimizerConfig,
     RngStream,
+    Skeleton,
     check_score_bound,
     init_state,
     midpoint,
@@ -22,15 +23,19 @@ from brownmin import (
     step,
 )
 
-print("=== Exact midpoints at extreme depth ===")
-left, right = ZERO, ONE
-for _ in range(60):
-    left = midpoint(left, right)
-print(f"after 60 nested bisections: {left} (float {float(left):.6g})")
-print(f"adjacent deep points stay ordered exactly even when their floats tie:")
-a = DyadicPoint((1 << 79) + 1, 80)
-b = DyadicPoint((1 << 79) + 3, 80)
-print(f"  {a} < {b}: {a < b};  float(a) == float(b): {float(a) == float(b)}")
+print("=== Exact sites at extreme depth ===")
+# a skeleton grows only by splitting a gap at its midpoint; the values
+# here are placeholders, the sites are what matters
+skel = Skeleton()
+skel.insert(ONE, 0.0)
+skel.split(1, 0.0)  # the site 1/2
+for _ in range(79):
+    skel.split(2, 0.0)  # halve the gap just right of 1/2
+a, b = skel.site(2), skel.site(3)
+print(f"after 80 nested bisections the gap right of 1/2 is [{a}, {b}]")
+print("distinct deep sites stay distinct exactly even when their floats tie:")
+print(f"  a != b: {a != b};  float(a) == float(b) == 0.5: {float(a) == float(b) == 0.5}")
+print(f"  its midpoint {skel.gap_midpoint(2)} and length 2^-{skel.tau_level} are exact too")
 
 print()
 print("=== The depth cap fails loudly instead of underflowing ===")

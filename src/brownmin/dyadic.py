@@ -8,7 +8,6 @@ and output only.
 
 from __future__ import annotations
 
-import bisect
 from array import array
 
 import numpy as np
@@ -73,20 +72,6 @@ class DyadicPoint:
     def __hash__(self) -> int:
         return hash((self.numerator, self.level))
 
-    def __lt__(self, other: "DyadicPoint") -> bool:
-        if self.level >= other.level:
-            return self.numerator < other.numerator << (self.level - other.level)
-        return self.numerator << (other.level - self.level) < other.numerator
-
-    def __le__(self, other: "DyadicPoint") -> bool:
-        return self == other or self < other
-
-    def __gt__(self, other: "DyadicPoint") -> bool:
-        return other < self
-
-    def __ge__(self, other: "DyadicPoint") -> bool:
-        return other <= self
-
 
 ZERO = DyadicPoint(0, 0)
 ONE = DyadicPoint(1, 0)
@@ -141,24 +126,26 @@ def _canonical(numerator: int, level: int) -> DyadicPoint:
 class Skeleton:
     """Observed values and gap levels in site order, plus cached summaries.
 
-    The first site is always 0 with value 0.  The first inserted site must
-    be 1; every later site is the exact midpoint of the gap it lands in.
-    Every gap is therefore an aligned dyadic interval [k/2^L, (k+1)/2^L]:
-    its level L sits in an int16 array, and its length and midpoint spread
-    are read from ``GAP_LENGTH`` and ``MIDPOINT_SD``.  Each site is stored
-    once, as a canonical DyadicPoint in a table in evaluation order, and
-    each gap holds the id of its left-end site in that table; the left
-    numerator k of a gap at its level L is that site's numerator shifted
-    left by L minus the site's level.  Splitting gap j puts the new site
-    (2k+1)/2^(L+1) at index j without any search.  The running minimum of
-    the values and the smallest gap are maintained incrementally.
+    The first site is always 0 with value 0.  :meth:`insert` adds the
+    endpoint 1 once; every later site is the exact midpoint of a gap,
+    added by :meth:`split` with that gap's index, so no site is ever
+    looked up by value.  Every gap is therefore an aligned dyadic
+    interval [k/2^L, (k+1)/2^L]: its level L sits in an int16 array, and
+    its length and midpoint spread are read from ``GAP_LENGTH`` and
+    ``MIDPOINT_SD``.  Each site is stored once, as a canonical DyadicPoint
+    in a table in evaluation order, and each gap holds the id of its
+    left-end site in that table; the left numerator k of a gap at its
+    level L is that site's numerator shifted left by L minus the site's
+    level.  Splitting gap j puts the new site (2k+1)/2^(L+1) at index j
+    without any search.  The running minimum of the values and the
+    smallest gap are maintained incrementally.
 
     Values, levels and left-end ids are ``array.array`` buffers holding
     exactly their entries: a split is one ``insert`` (a single memmove)
     per buffer and one append to the site table, and an indexed read
     gives a Python float or int.  The numpy properties return copies, so
     no view of a buffer outlives the statement that makes it; while one is
-    exported, ``insert`` raises BufferError.
+    exported, a split raises BufferError.
     """
 
     __slots__ = ("_values", "_gap_levels", "_gap_left", "_sites", "_min_value", "_tau_level")
@@ -241,58 +228,14 @@ class Skeleton:
     def __len__(self) -> int:
         return len(self._values)
 
-    def __contains__(self, t: DyadicPoint) -> bool:
-        return self.index_of(t) is not None
-
-    def _search(self, t: DyadicPoint) -> int:
-        return bisect.bisect_left(range(len(self._values)), t, key=self.site)
-
-    def index_of(self, t: DyadicPoint) -> int | None:
-        i = self._search(t)
-        if i < len(self._values) and self.site(i) == t:
-            return i
-        return None
-
-    def value_at(self, t: DyadicPoint) -> float:
-        i = self.index_of(t)
-        if i is None:
-            raise KeyError(f"site {t} not in skeleton")
-        return self._values[i]
-
-    def locate(self, t: DyadicPoint) -> int:
-        """1-based index of the gap whose midpoint is ``t``.
-
-        Raises ValueError when ``t`` is already a site, lies outside the
-        covered interval or is not the midpoint of its gap.
-        """
-        j = self._search(t)
-        count = len(self._values)
-        if j < count and self.site(j) == t:
-            raise ValueError(f"duplicate site {t}")
-        if j == 0 or j == count:
-            raise ValueError(f"site {t} outside the covered interval")
-        # the only canonical dyadic of level L+1 strictly inside a gap of
-        # length 1/2^L is its midpoint
-        if t.level != self._gap_levels[j - 1] + 1:
-            raise ValueError(
-                f"site {t} is not the midpoint of gap ({self.site(j - 1)}, {self.site(j)})"
-            )
-        return j
-
     def insert(self, t: DyadicPoint, value: float) -> int:
-        """Insert a new (site, value) observation and return its index.
-
-        The first insert must be the site 1.  Afterwards ``t`` must be the
-        exact midpoint of an existing gap, found by :meth:`locate` and
-        then split.
+        """Add the endpoint 1 with ``value`` to a fresh skeleton and return
+        its index 1.  Any other site, or a second call, raises ValueError:
+        every later site is added by :meth:`split`.
         """
+        if len(self._values) > 1 or t != ONE:
+            raise ValueError(f"insert takes only the endpoint 1 of a fresh skeleton, got {t}")
         value = float(value)
-        if len(self._values) > 1:
-            j = self.locate(t)
-            self.split(j, value)
-            return j
-        if t != ONE:
-            raise ValueError(f"first inserted site must be 1, got {t}")
         self._values.append(value)
         self._gap_levels.append(0)
         self._gap_left.append(0)

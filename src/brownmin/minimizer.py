@@ -307,10 +307,10 @@ def search_block(normals: np.ndarray, lam: float, level_cap: int,
     Row r is the search of :func:`run` to N evaluations on a Brownian path
     whose k-th new site takes the normal ``normals[r, k]``, as a
     :class:`~brownmin.oracle.BrownianOracle` does; M_n is recorded at each
-    n in ``record``, where a repeated n raises ValueError.  A row that needs a split deeper than ``level_cap``
-    is marked in ``capped`` where the per-path search raises
-    DepthExceededError.  A non-finite largest score in any row raises
-    FloatingPointError, as :func:`step` does.
+    n in ``record``, where a repeated n raises ValueError.  A row that
+    needs a split deeper than ``level_cap`` is marked in ``capped`` where
+    the per-path search raises DepthExceededError.  A non-finite largest
+    score in any row raises FloatingPointError, as :func:`step` does.
     """
     normals = np.asarray(normals, dtype=float)
     if normals.ndim != 2:

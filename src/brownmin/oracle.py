@@ -1,14 +1,14 @@
 """Function evaluation oracles over [0, 1] with f(0) = 0.
 
-A path oracle answers point evaluations at dyadic sites and memoizes them
-in a :class:`~brownmin.dyadic.Skeleton`.  The Brownian oracle materialises
-a Brownian path lazily: W(1) is drawn unconditionally, every later site is
-drawn from the exact bridge law between its already-observed neighbours,
-so the conditional law given the skeleton is exact at every step.
-
-Every new interior site is the midpoint of a known gap, so oracles add it
-through :meth:`PathOracle.split`, which takes the gap's index; ``evaluate``
-finds that gap for a given site and takes the same path.
+A path oracle is observed the way the adaptive search observes a path:
+``evaluate(ONE)`` gives the endpoint f(1) once, on a fresh oracle, and
+every later site is the midpoint of a known gap, added by
+:meth:`PathOracle.split` with the gap's index.  Each value is recorded in
+the oracle's :class:`~brownmin.dyadic.Skeleton`.  The Brownian oracle
+materialises a Brownian path lazily: W(1) is drawn unconditionally and
+every midpoint is drawn from the exact bridge law between its two
+neighbours, so the conditional law given the skeleton is exact at every
+step.
 """
 
 from __future__ import annotations
@@ -19,37 +19,40 @@ from typing import Callable
 
 import numpy as np
 
-from .dyadic import _MIDPOINT_SDS, ONE, ZERO, DyadicPoint, Skeleton
+from .dyadic import _MIDPOINT_SDS, DyadicPoint, Skeleton
 from .rng import RngStream
 
 
 class PathOracle(abc.ABC):
-    """Evaluation contract: evaluate(t) with memoization, f(0) = 0."""
+    """Evaluation contract, with f(0) = 0: ``evaluate(ONE)`` once, then
+    ``split(j)`` only.  Both record their value in ``skeleton``."""
 
     skeleton: Skeleton
 
     @abc.abstractmethod
     def evaluate(self, t: DyadicPoint) -> float:
-        """Value at t, consistent with all previous evaluations."""
+        """Value at the endpoint t = 1 of a fresh oracle.  Any other t, or
+        a second call, raises ValueError."""
 
+    @abc.abstractmethod
     def split(self, j: int) -> float:
         """Evaluate the midpoint of gap j (1-based), insert it into the
         skeleton at index j and return its value."""
-        return self.evaluate(self.skeleton.gap_midpoint(j))
 
 
 class BrownianOracle(PathOracle):
     """Lazily bridge-sampled Brownian path.
 
-    The first new site must be t = 1 (drawn as a standard normal); later
-    sites must be midpoints of existing gaps and are drawn from the bridge
-    midpoint law.  Re-evaluating a known site never consumes randomness.
+    ``evaluate(ONE)`` draws W(1) as a standard normal; ``split(j)`` draws
+    the midpoint of gap j from the bridge midpoint law between its two
+    neighbours.
 
-    The k-th new site uses the k-th normal of ``stream``.  The normals are
-    drawn from the stream in blocks, so the stream may have advanced past
-    the last normal used.  ``capacity`` sizes only the first block (at
-    least 8 draws); each later block doubles it.  It must be an integer
-    of at least 1: a float raises TypeError, a smaller value ValueError.
+    The k-th new site uses the k-th normal of ``stream``, and a refused
+    call uses none.  The normals are drawn from the stream in blocks, so
+    the stream may have advanced past the last normal used.  ``capacity``
+    sizes only the first block (at least 8 draws); each later block
+    doubles it.  It must be an integer of at least 1: a float raises
+    TypeError, a smaller value ValueError.
     """
 
     def __init__(self, stream: RngStream, capacity: int = 64):
@@ -62,7 +65,7 @@ class BrownianOracle(PathOracle):
         self._normals: list[float] = []
 
     def _normal(self) -> float:
-        # indexed by the site count, so a split the skeleton refuses uses none
+        # indexed by the site count, so a call the skeleton refuses uses none
         k = len(self.skeleton._values) - 1
         while k >= len(self._normals):
             self._normals += self.stream.gaussians(self._block).tolist()
@@ -70,16 +73,8 @@ class BrownianOracle(PathOracle):
         return self._normals[k]
 
     def evaluate(self, t: DyadicPoint) -> float:
-        skel = self.skeleton
-        existing = skel.index_of(t)
-        if existing is not None:
-            return skel._values[existing]  # memoized, no new draw
-        if skel.n > 0:
-            return self.split(skel.locate(t))
-        if t != ONE:
-            raise ValueError(f"cannot evaluate {t} before the endpoint 1 has been evaluated")
         value = self._normal()
-        skel.insert(ONE, value)
+        self.skeleton.insert(t, value)
         return value
 
     def split(self, j: int) -> float:
@@ -96,14 +91,7 @@ class BrownianOracle(PathOracle):
 
 
 class DeterministicOracle(PathOracle):
-    """Closed-form test function with f(0) = 0, evaluated at float(t).
-
-    Evaluation order is unrestricted: asking for a site whose bisection
-    ancestors have not been seen yet splits the gap that holds it until it
-    is a site, which evaluates those ancestors too (the function is pure,
-    so the extra evaluations are free) and keeps the skeleton a valid
-    midpoint refinement.
-    """
+    """Closed-form test function with f(0) = 0, evaluated at float(t)."""
 
     def __init__(self, fn: Callable[[float], float]):
         if fn(0.0) != 0.0:
@@ -112,14 +100,9 @@ class DeterministicOracle(PathOracle):
         self.skeleton = Skeleton()
 
     def evaluate(self, t: DyadicPoint) -> float:
-        skel = self.skeleton
-        if skel.n == 0 and t != ZERO:
-            skel.insert(ONE, float(self.fn(1.0)))
-        while True:
-            i = skel._search(t)
-            if skel.site(i) == t:
-                return skel._values[i]
-            self.split(i)  # gap i holds t strictly inside
+        value = float(self.fn(1.0))
+        self.skeleton.insert(t, value)  # refuses any t but ONE
+        return value
 
     def split(self, j: int) -> float:
         skel = self.skeleton

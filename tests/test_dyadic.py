@@ -84,17 +84,6 @@ def test_validation():
         DyadicPoint(1, -1)
 
 
-def test_ordering_matches_exact_values():
-    rng = np.random.default_rng(7)
-    pts = [ZERO, ONE]
-    for _ in range(200):
-        m = int(rng.integers(1, 50))
-        pts.append(DyadicPoint(int(rng.integers(0, 2**m + 1)), m))
-    by_exact = sorted(pts, key=lambda p: Fraction(p.numerator, 2**p.level))
-    by_cmp = sorted(pts)
-    assert by_cmp == by_exact
-
-
 def test_float_conversion_exact_below_53_bits():
     rng = np.random.default_rng(8)
     for _ in range(100):
@@ -108,29 +97,33 @@ def test_float_conversion_monotone_at_depth():
     # beyond 52 bits distinct points may share a double, but order never flips
     base = DyadicPoint(1, 1)
     deep = [DyadicPoint((1 << 79) + (k << 4) + 1, 80) for k in range(0, 64, 3)]
-    vals = [float(p) for p in sorted(deep + [base])]
+    exact_order = sorted(deep + [base], key=lambda p: Fraction(p.numerator, 2**p.level))
+    vals = [float(p) for p in exact_order]
     assert all(a <= b for a, b in zip(vals, vals[1:]))
 
 
-def _build(pairs):
+def _build(endpoint, splits=()):
+    """Skeleton with f(1) = endpoint, then one split(j, value) per pair."""
     skel = Skeleton()
-    for t, v in pairs:
-        skel.insert(t, v)
+    skel.insert(ONE, endpoint)
+    for j, value in splits:
+        skel.split(j, value)
     return skel
 
 
 def test_skeleton_insert_examples():
-    skel = _build([(ONE, -0.3), (DyadicPoint(1, 1), 0.1)])
+    skel = _build(-0.3, [(1, 0.1)])
     assert [str(s) for s in skel.sites] == ["0/2^0", "1/2^1", "1/2^0"]
     assert list(skel.values) == [0.0, 0.1, -0.3]
     assert skel.min_value == -0.3
     assert skel.tau == 0.5
 
-    skel = _build([(ONE, -1.0)])
+    skel = _build(-1.0)
     assert skel.min_value == -1.0
     assert skel.tau == 1.0 and skel.tau_level == 0
 
-    skel = _build([(ONE, 0.4), (DyadicPoint(1, 1), -0.2), (DyadicPoint(1, 2), -0.5)])
+    skel = _build(0.4, [(1, -0.2), (1, -0.5)])
+    assert [str(s) for s in skel.sites] == ["0/2^0", "1/2^2", "1/2^1", "1/2^0"]
     assert skel.min_value == -0.5
     assert skel.tau == 0.25
 
@@ -138,29 +131,53 @@ def test_skeleton_insert_examples():
 def test_skeleton_insert_returns_index():
     skel = Skeleton()
     assert skel.insert(ONE, 1.0) == 1
-    assert skel.insert(DyadicPoint(1, 1), 0.3) == 1
-    assert skel.insert(DyadicPoint(3, 2), 0.2) == 2
-    assert skel.insert(DyadicPoint(1, 2), 0.1) == 1
+    assert skel.site(1) == ONE
+    # a split puts the midpoint of gap j at index j
+    for j, site in ((1, DyadicPoint(1, 1)), (2, DyadicPoint(3, 2)), (1, DyadicPoint(1, 2))):
+        assert skel.gap_midpoint(j) == site
+        skel.split(j, 0.0)
+        assert skel.site(j) == site
+    assert [str(s) for s in skel.sites] == ["0/2^0", "1/2^2", "1/2^1", "3/2^2", "1/2^0"]
 
 
 def test_skeleton_rejects_bad_inserts():
+    # insert takes the endpoint 1 once, on a fresh skeleton, and nothing else
     skel = Skeleton()
-    with pytest.raises(ValueError):
-        skel.insert(DyadicPoint(1, 1), 0.5)  # 1 must come first
+    for t in (DyadicPoint(1, 1), ZERO, DyadicPoint(1, 7)):
+        with pytest.raises(ValueError):
+            skel.insert(t, 0.5)
+    assert len(skel) == 1 and skel.n == 0
     skel.insert(ONE, 1.0)
-    with pytest.raises(ValueError):
-        skel.insert(ONE, 2.0)  # duplicate
-    with pytest.raises(ValueError):
-        skel.insert(ZERO, 0.0)  # duplicate
-    skel.insert(DyadicPoint(1, 1), 0.5)
-    with pytest.raises(ValueError):
-        skel.insert(DyadicPoint(1, 3), 0.1)  # 1/8 is not a midpoint of (0, 1/2)
-    with pytest.raises(ValueError):
-        skel.insert(DyadicPoint(1, 1), 0.0)  # duplicate midpoint
+    skel.split(1, 0.5)
+    for t in (ONE, ZERO, DyadicPoint(1, 1), DyadicPoint(1, 2), DyadicPoint(3, 2)):
+        with pytest.raises(ValueError):
+            skel.insert(t, 2.0)
+    assert list(skel.values) == [0.0, 0.5, 1.0]
+    assert skel.gap_levels.tolist() == [1, 1]
+
+
+def test_skeleton_refuses_out_of_range_indices():
+    # gaps are numbered 1 .. len - 1 and sites 0 .. len - 1; a fresh
+    # skeleton has no gap and only the site 0
+    fresh = Skeleton()
+    grown = _build(0.4, [(1, -0.2), (2, 0.3)])
+    for skel in (fresh, grown):
+        values, levels = skel.values, skel.gap_levels
+        for j in (0, len(skel), -1):
+            with pytest.raises(IndexError):
+                skel.split(j, 0.0)
+            with pytest.raises(IndexError):
+                skel.gap_midpoint(j)
+        for i in (len(skel), -1):
+            with pytest.raises(IndexError):
+                skel.site(i)
+        assert np.array_equal(skel.values, values)
+        assert np.array_equal(skel.gap_levels, levels)
+    assert fresh.site(0) == ZERO and len(fresh) == 1
 
 
 def test_skeleton_tables_cover_every_level_to_the_cap():
-    skel = _build([(ONE, 1.0)])
+    skel = _build(1.0)
     for _ in range(MAX_LEVEL_CAP):  # split the first gap down to the cap
         skel.split(1, 0.5)
     assert skel.tau_level == MAX_LEVEL_CAP
@@ -177,16 +194,17 @@ def test_skeleton_tables_cover_every_level_to_the_cap():
 
 def test_skeleton_random_midpoint_properties():
     rng = np.random.default_rng(11)
-    skel = Skeleton()
-    skel.insert(ONE, float(rng.standard_normal()))
+    skel = _build(float(rng.standard_normal()))
     tau_levels = []
     for _ in range(240):
-        gap_idx = int(rng.integers(0, len(skel) - 1))
+        j = int(rng.integers(1, len(skel)))
         sites = skel.sites
-        mid = midpoint(sites[gap_idx], sites[gap_idx + 1])
+        mid = skel.gap_midpoint(j)
+        assert mid == midpoint(sites[j - 1], sites[j])
         prev_tau_level = skel.tau_level
-        prev_gap_level = int(skel.gap_levels[gap_idx])
-        skel.insert(mid, float(rng.standard_normal()))
+        prev_gap_level = int(skel.gap_levels[j - 1])
+        skel.split(j, float(rng.standard_normal()))
+        assert skel.site(j) == mid
         # splitting a smallest gap halves tau exactly, otherwise unchanged
         if prev_gap_level == prev_tau_level:
             assert skel.tau_level == prev_tau_level + 1
@@ -203,23 +221,21 @@ def test_skeleton_random_midpoint_properties():
     ]
     assert min(exact_gaps) == Fraction(1, 2**skel.tau_level)
     # every gap is a power of two matching the deeper endpoint's level
-    for (a, b), gap, lvl in zip(
-        zip(sites, sites[1:]), exact_gaps, skel.gap_levels
-    ):
-        assert gap == Fraction(1, 2 ** int(lvl))
-        assert int(lvl) == max(a.level, b.level)
-        assert float(gap) == skel.gap_lengths[list(sites).index(a)]
+    for i, (a, b) in enumerate(zip(sites, sites[1:])):
+        lvl = int(skel.gap_levels[i])
+        assert exact_gaps[i] == Fraction(1, 2**lvl)
+        assert lvl == max(a.level, b.level)
+        assert float(exact_gaps[i]) == skel.gap_lengths[i]
     # floats of sites strictly increasing at these depths
     floats = skel.site_floats()
     assert np.all(np.diff(floats) > 0)
-    # tau is non-increasing along the whole insertion history
+    # tau is non-increasing along the whole split history
     assert all(a <= b for a, b in zip(tau_levels, tau_levels[1:]))
 
 
 def test_skeleton_value_lookup():
-    skel = _build([(ONE, 0.25), (DyadicPoint(1, 1), -0.75)])
-    assert skel.value_at(DyadicPoint(1, 1)) == -0.75
-    assert DyadicPoint(1, 1) in skel
-    assert DyadicPoint(1, 2) not in skel
-    with pytest.raises(KeyError):
-        skel.value_at(DyadicPoint(1, 2))
+    # a site's value is read by the site's index
+    skel = _build(0.25, [(1, -0.75), (2, 0.5)])
+    assert [str(s) for s in skel.sites] == ["0/2^0", "1/2^1", "3/2^2", "1/2^0"]
+    assert list(skel.values) == [0.0, -0.75, 0.5, 0.25]
+    assert skel.site(1) == DyadicPoint(1, 1) and skel.values[1] == -0.75

@@ -265,7 +265,7 @@ def test_step_refuses_a_skeleton_changed_outside_step():
     config = MinimizerConfig(lam=1.0, max_steps=10)
     oracle = BrownianOracle(RngStream(53, 0))
     state, _ = init_state(oracle, config)
-    oracle.evaluate(DyadicPoint(3, 2))  # kept scores no longer match
+    oracle.split(1)  # kept scores no longer match
     with pytest.raises(ValueError):
         step(state, oracle, config)
     other = BrownianOracle(RngStream(53, 1))

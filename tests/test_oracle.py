@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from brownmin.dyadic import MAX_LEVEL_CAP, ONE, ZERO, DepthExceededError, DyadicPoint
+from brownmin.dyadic import MAX_LEVEL_CAP, ONE, ZERO, DepthExceededError, DyadicPoint, Skeleton
 from brownmin.minimizer import MinimizerConfig, run
 from brownmin.oracle import (
     BrownianOracle,
@@ -27,15 +27,43 @@ def test_endpoint_value_is_unconditional_normal():
 
 def test_zero_site_is_always_zero():
     oracle = BrownianOracle(RngStream(12, 0))
-    assert oracle.evaluate(ZERO) == 0.0
+    skel = oracle.skeleton
+    assert skel.site(0) == ZERO and skel.values[0] == 0.0
     oracle.evaluate(ONE)
-    assert oracle.evaluate(ZERO) == 0.0
+    for _ in range(5):
+        oracle.split(1)
+    assert skel.site(0) == ZERO and skel.values[0] == 0.0
 
 
 def test_interior_before_endpoint_rejected():
     oracle = BrownianOracle(RngStream(13, 0))
     with pytest.raises(ValueError):
         oracle.evaluate(HALF)
+    with pytest.raises(IndexError):
+        oracle.split(1)  # no gap before the endpoint
+    assert oracle.skeleton.n == 0
+    assert oracle.evaluate(ONE) == RngStream(13, 0).gaussian()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: BrownianOracle(RngStream(17, 0)),
+    lambda: DeterministicOracle(lambda t: t * (1.0 - t) - t),
+], ids=["brownian", "deterministic"])
+def test_evaluate_takes_only_the_endpoint_once(make):
+    oracle, reference = make(), make()
+    skel = oracle.skeleton
+    for t in (HALF, ZERO, QUARTER, DyadicPoint(1, 40)):
+        with pytest.raises(ValueError):
+            oracle.evaluate(t)
+    assert skel.n == 0
+    assert oracle.evaluate(ONE) == reference.evaluate(ONE)
+    for t in (ONE, ZERO, HALF, DyadicPoint(3, 2)):
+        with pytest.raises(ValueError):
+            oracle.evaluate(t)
+    assert skel.n == 1 and skel.gap_levels.tolist() == [0]
+    # the refused calls left the next split as it was
+    assert oracle.split(1) == reference.split(1)
+    assert np.array_equal(skel.values, reference.skeleton.values)
 
 
 def test_midpoint_draw_uses_bridge_law():
@@ -45,7 +73,8 @@ def test_midpoint_draw_uses_bridge_law():
     oracle = BrownianOracle(RngStream(14, 0))
     w1 = oracle.evaluate(ONE)
     assert w1 == z1
-    w_half = oracle.evaluate(HALF)
+    w_half = oracle.split(1)
+    assert oracle.skeleton.site(1) == HALF
     assert w_half == pytest.approx(0.5 * w1 + 0.5 * z2, rel=1e-15)
 
 
@@ -75,8 +104,9 @@ def test_midpoint_draw_keeps_its_spread_at_depth():
     skel = oracle.skeleton
     oracle.evaluate(ONE)
     for level in range(MAX_LEVEL_CAP):
-        b = skel.value_at(DyadicPoint(1, level))
-        value = oracle.evaluate(DyadicPoint(1, level + 1))  # midpoint of (0, 2^-level)
+        b = skel.values[1]  # at the site 2^-level
+        value = oracle.split(1)  # midpoint of (0, 2^-level)
+        assert skel.site(1) == DyadicPoint(1, level + 1)
         deviation = value - (0.0 + 0.5 * (b - 0.0))
         assert deviation != 0.0
         assert deviation == pytest.approx(0.5 * math.sqrt(2.0**-level) * z[level + 1], rel=1e-9)
@@ -85,27 +115,39 @@ def test_midpoint_draw_keeps_its_spread_at_depth():
         oracle.split(1)  # no table entry deeper than the cap
     assert skel.n == MAX_LEVEL_CAP + 1
     # the refused split used no normal: the next new site takes the next one
-    a, b = skel.value_at(DyadicPoint(1, 1)), skel.value_at(ONE)
-    value = oracle.evaluate(DyadicPoint(3, 2))  # midpoint of (1/2, 1)
+    last = len(skel) - 1  # the gap (1/2, 1)
+    a, b = skel.values[last - 1], skel.values[last]
+    value = oracle.split(last)
+    assert skel.site(last) == DyadicPoint(3, 2)
     assert value == a + 0.5 * (b - a) + 0.5 * math.sqrt(0.5) * z[MAX_LEVEL_CAP + 1]
 
 
-def test_memoization_returns_identical_value_without_new_draws():
+def test_refused_calls_use_no_normal():
     oracle = BrownianOracle(RngStream(15, 0))
     reference = BrownianOracle(RngStream(15, 0))
-    for orc in (oracle, reference):
-        orc.evaluate(ONE)
-        orc.evaluate(HALF)
-    assert oracle.evaluate(HALF) == oracle.evaluate(HALF)
-    # the repeated evaluations above must not have consumed randomness
-    assert oracle.evaluate(QUARTER) == reference.evaluate(QUARTER)
+    skel = oracle.skeleton
+    for j in (0, 1):  # a fresh skeleton has no gap
+        with pytest.raises(IndexError):
+            oracle.split(j)
+    assert skel.n == 0
+    assert oracle.evaluate(ONE) == reference.evaluate(ONE)
+    assert oracle.split(1) == reference.split(1)
+    values, levels = skel.values, skel.gap_levels
+    for j in (0, len(skel), -1):
+        with pytest.raises(IndexError):
+            oracle.split(j)
+        assert np.array_equal(skel.values, values)
+        assert np.array_equal(skel.gap_levels, levels)
+    # the next valid split takes the normal of an oracle that saw no bad call
+    assert oracle.split(1) == reference.split(1)
+    assert np.array_equal(skel.values, reference.skeleton.values)
 
 
 def test_skeleton_reflects_evaluations():
     oracle = BrownianOracle(RngStream(16, 0))
     oracle.evaluate(ONE)
-    oracle.evaluate(HALF)
-    oracle.evaluate(QUARTER)
+    oracle.split(1)
+    oracle.split(1)
     assert [str(s) for s in oracle.skeleton.sites] == [
         "0/2^0", "1/2^2", "1/2^1", "1/2^0",
     ]
@@ -122,7 +164,7 @@ def test_nonadaptive_increments_are_standard_normal():
     for rep in range(n_reps):
         oracle = BrownianOracle(RngStream(777, rep))
         v1 = oracle.evaluate(ONE)
-        vh = oracle.evaluate(HALF)
+        vh = oracle.split(1)
         w1[rep] = v1
         left[rep] = vh / root_half
         right[rep] = (v1 - vh) / root_half
@@ -132,11 +174,12 @@ def test_nonadaptive_increments_are_standard_normal():
 
 def test_deterministic_oracle_example():
     oracle = DeterministicOracle(lambda t: (t - 1.0 / 3.0) ** 2 - 1.0 / 9.0)
-    value = oracle.evaluate(HALF)
+    assert oracle.evaluate(ONE) == pytest.approx(1.0 / 3.0, rel=1e-15)
+    value = oracle.split(1)
     assert value == pytest.approx((1.0 / 6.0) ** 2 - 1.0 / 9.0, rel=1e-15)
     assert value == pytest.approx(-1.0 / 12.0, rel=1e-15)
-    # pure function of t, memoized in the skeleton
-    assert oracle.evaluate(HALF) == value
+    # pure function of t, recorded in the skeleton at the site 1/2
+    assert oracle.skeleton.site(1) == HALF and oracle.skeleton.values[1] == value
 
 
 def test_deterministic_oracle_requires_zero_at_origin():
@@ -144,36 +187,54 @@ def test_deterministic_oracle_requires_zero_at_origin():
         DeterministicOracle(lambda t: t + 1.0)
 
 
-def test_deterministic_oracle_fills_bisection_ancestors():
+def test_deterministic_oracle_splits_exactly_to_the_level_cap():
     oracle = DeterministicOracle(lambda t: t * (1.0 - t))
-    value = oracle.evaluate(DyadicPoint(3, 3))  # 3/8 out of order
-    assert value == pytest.approx(0.375 * 0.625, rel=1e-15)
-    assert [str(s) for s in oracle.skeleton.sites] == [
-        "0/2^0", "1/2^2", "3/2^3", "1/2^1", "1/2^0",
-    ]
-    # ancestors are filled by a loop, so the deepest level has no recursion limit
+    oracle.evaluate(ONE)
+    for j in (1, 1, 2):  # 1/2, 1/4, then 3/8
+        oracle.split(j)
+    skel = oracle.skeleton
+    assert [str(s) for s in skel.sites] == ["0/2^0", "1/2^2", "3/2^3", "1/2^1", "1/2^0"]
+    assert skel.values[2] == pytest.approx(0.375 * 0.625, rel=1e-15)
+    # down to the deepest level every site and value is exact
     deep = DeterministicOracle(lambda t: t)
-    assert deep.evaluate(DyadicPoint(1, MAX_LEVEL_CAP)) == 2.0**-1023
+    deep.evaluate(ONE)
+    for level in range(1, MAX_LEVEL_CAP + 1):
+        assert deep.split(1) == 2.0**-level
+        assert deep.skeleton.site(1) == DyadicPoint(1, level)
+    assert deep.skeleton.values[1] == 2.0**-1023
     assert deep.skeleton.n == MAX_LEVEL_CAP + 1
     with pytest.raises(DepthExceededError):
-        deep.evaluate(DyadicPoint(1, MAX_LEVEL_CAP + 1))
+        deep.split(1)  # one level past the cap
+    assert deep.skeleton.n == MAX_LEVEL_CAP + 1
 
 
-def test_oracle_with_only_evaluate_can_be_searched():
-    # PathOracle.split falls back to evaluate(gap_midpoint(j))
+def test_user_oracle_with_evaluate_and_split_can_be_searched():
     def fn(t):
         return (t - 1.0 / 3.0) ** 2 - 1.0 / 9.0
 
-    class EvaluateOnly(PathOracle):
+    class Quadratic(PathOracle):
         def __init__(self):
-            self.inner = DeterministicOracle(fn)
-            self.skeleton = self.inner.skeleton
+            self.skeleton = Skeleton()
 
         def evaluate(self, t):
-            return self.inner.evaluate(t)
+            value = fn(float(t))
+            self.skeleton.insert(t, value)
+            return value
+
+        def split(self, j):
+            value = fn(float(self.skeleton.gap_midpoint(j)))
+            self.skeleton.split(j, value)
+            return value
 
     config = MinimizerConfig(lam=1.0, max_steps=40)
-    assert run(EvaluateOnly(), config)[1] == run(DeterministicOracle(fn), config)[1]
+    assert run(Quadratic(), config)[1] == run(DeterministicOracle(fn), config)[1]
+
+    # split is part of the contract: an oracle without it cannot be made
+    class EvaluateOnly(PathOracle):
+        evaluate = Quadratic.evaluate
+
+    with pytest.raises(TypeError):
+        EvaluateOnly()
 
 
 def test_grid_reference_min_examples():
