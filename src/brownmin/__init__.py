@@ -47,6 +47,7 @@ from .minimizer import (
     MinimizerState,
     ScoreBoundCheck,
     StepTrace,
+    Trace,
     check_score_bound,
     init_state,
     run,
@@ -83,6 +84,7 @@ __all__ = [
     "ScoreBoundCheck",
     "Skeleton",
     "StepTrace",
+    "Trace",
     "ZERO",
     "bridge_min_cdf",
     "bridge_min_sample",

@@ -14,8 +14,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from .dyadic import DepthExceededError
 from .harness import (
     ADAPTIVE,
@@ -102,7 +100,7 @@ def _simulate(args, parser) -> int:
     oracle = BrownianOracle(path_stream(plan, ADAPTIVE, 0), capacity=args.steps + 2)
     state, traces = run(oracle, config)
     true_min = sample_true_min(state.skeleton, true_min_stream(plan, ADAPTIVE, 0))
-    deltas = np.array([tr.m_n for tr in traces]) - true_min
+    deltas = traces.m_n - true_min
     write_trace_csv(traces, args.out, deltas=deltas)
     return 0
 

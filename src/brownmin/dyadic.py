@@ -132,29 +132,35 @@ class Skeleton:
     looked up by value.  Every gap is therefore an aligned dyadic
     interval [k/2^L, (k+1)/2^L]: its level L sits in an int16 array, and
     its length and midpoint spread are read from ``GAP_LENGTH`` and
-    ``MIDPOINT_SD``.  Each site is stored once, as a canonical DyadicPoint
-    in a table in evaluation order, and each gap holds the id of its
-    left-end site in that table; the left numerator k of a gap at its
-    level L is that site's numerator shifted left by L minus the site's
-    level.  Splitting gap j puts the new site (2k+1)/2^(L+1) at index j
-    without any search.  The running minimum of the values and the
-    smallest gap are maintained incrementally.
+    ``MIDPOINT_SD``.  Each site is stored once, in a table in evaluation
+    order that holds its canonical numerator (a Python int) and its level
+    (an int16 array), and each gap holds the id of its left-end site in
+    that table; the left numerator k of a gap at its level L is that
+    site's numerator shifted left by L minus the site's level.  Splitting
+    gap j puts the new site (2k+1)/2^(L+1) at index j without any search.
+    The site with id k is the k-th evaluation, so ids 0 and 1 are the
+    sites 0 and 1.  A DyadicPoint is built only when a site is asked for.
+    The running minimum of the values and the smallest gap are maintained
+    incrementally.
 
     Values, levels and left-end ids are ``array.array`` buffers holding
     exactly their entries: a split is one ``insert`` (a single memmove)
-    per buffer and one append to the site table, and an indexed read
+    per buffer and one append per site table column, and an indexed read
     gives a Python float or int.  The numpy properties return copies, so
     no view of a buffer outlives the statement that makes it; while one is
     exported, a split raises BufferError.
     """
 
-    __slots__ = ("_values", "_gap_levels", "_gap_left", "_sites", "_min_value", "_tau_level")
+    __slots__ = ("_values", "_gap_levels", "_gap_left", "_site_nums", "_site_levels",
+                 "_min_value", "_tau_level")
 
     def __init__(self):
         self._values = array("d", [0.0])
         self._gap_levels = array("h")
-        self._gap_left = array("i")  # per gap in site order, its left end's id in _sites
-        self._sites = [ZERO]  # every site once, in evaluation order
+        self._gap_left = array("i")  # per gap in site order, its left end's site id
+        # the site table: every site once, in evaluation order, canonical
+        self._site_nums = [0]
+        self._site_levels = array("h", [0])
         self._min_value = 0.0
         self._tau_level: int | None = None
 
@@ -188,7 +194,8 @@ class Skeleton:
             return ZERO
         if i == count - 1:
             return ONE
-        return self._sites[self._gap_left[i]]
+        site = self._gap_left[i]
+        return _canonical(self._site_nums[site], self._site_levels[site])
 
     @property
     def sites(self) -> list[DyadicPoint]:
@@ -219,8 +226,9 @@ class Skeleton:
         # gap g (0-based) at level L = level - 1 has left numerator
         # k = left.numerator << (L - left.level); its midpoint is
         # (2k+1)/2^level, canonical because odd
-        left = self._sites[self._gap_left[g]]
-        return _canonical((left.numerator << (level - left.level)) | 1, level)
+        left = self._gap_left[g]
+        return _canonical(
+            (self._site_nums[left] << (level - self._site_levels[left])) | 1, level)
 
     def site_floats(self) -> np.ndarray:
         return np.array([float(s) for s in self.sites])
@@ -239,7 +247,8 @@ class Skeleton:
         self._values.append(value)
         self._gap_levels.append(0)
         self._gap_left.append(0)
-        self._sites.append(ONE)
+        self._site_nums.append(1)
+        self._site_levels.append(0)
         self._min_value = min(self._min_value, value)
         self._tau_level = 0
         return 1
@@ -247,7 +256,10 @@ class Skeleton:
     def split(self, j: int, value: float) -> None:
         """Insert ``value`` at the midpoint of gap j (1-based); the new site
         gets index j and the two halves become gaps j and j+1.  Halves
-        deeper than MAX_LEVEL_CAP raise DepthExceededError."""
+        deeper than MAX_LEVEL_CAP raise DepthExceededError.
+
+        The per-path search grows the skeleton with these statements
+        inline (``minimizer._search``); the two must stay the same."""
         values = self._values
         if not 1 <= j < len(values):
             raise IndexError(f"gap index {j} out of range")
@@ -259,9 +271,12 @@ class Skeleton:
         values.insert(j, value)
         levels[g] = level
         levels.insert(j, level)
-        sites = self._sites
-        self._gap_left.insert(j, len(sites))
-        sites.append(self._midpoint(g, level))
+        nums = self._site_nums
+        site_levels = self._site_levels
+        left = self._gap_left[g]
+        self._gap_left.insert(j, len(nums))
+        nums.append((nums[left] << (level - site_levels[left])) | 1)
+        site_levels.append(level)
         if value < self._min_value:
             self._min_value = value
         if level > self._tau_level:

@@ -156,7 +156,7 @@ def run_replication(plan: ExperimentPlan, lam: float, replication: int) -> np.nd
     config = MinimizerConfig(lam=lam, max_steps=max(plan.n_grid), level_cap=plan.level_cap)
     state, traces = run(oracle, config)
     true_min = sample_true_min(state.skeleton, true_min_stream(plan, ADAPTIVE, replication))
-    return np.array([traces[n - 2].m_n for n in plan.n_grid]) - true_min
+    return traces.m_n[np.array(plan.n_grid) - 2] - true_min
 
 
 def run_replications(plan: ExperimentPlan, lam: float, replications) -> np.ndarray:

@@ -26,6 +26,17 @@ infinite (a path with non-finite values) raises FloatingPointError:
 argmax returns the first NaN, so checking the chosen score covers the
 whole array.
 
+The per-path search is one loop, which :func:`step` runs for one split
+and :func:`run` for all the rest.  It keeps the skeleton's buffers, the
+scores, M_n, the tau level and the running scaled increment in locals,
+makes one Python-level call per split (the oracle's midpoint value) and
+grows the skeleton in place; no site object or trace row is built on the
+way.  For :func:`run` it appends each state's new value and largest score
+to two ``array.array`` columns, which :class:`Trace` turns into rows on
+demand: M_n is their running minimum, the tau level the running maximum
+of the new sites' levels, and the sites come from the skeleton's site
+table.  :func:`write_trace_csv` formats the columns directly.
+
 :func:`search_block` runs R searches on Brownian paths in lockstep, one
 row per path, so that a step's Python overhead is paid once per block.
 Each row keeps its gaps unordered, one slot per gap holding the left and
@@ -43,15 +54,19 @@ score; such a row walks its links and splits the leftmost gap in site
 order that holds the largest score.  The block takes the same normals and
 evaluates the same float expressions as :func:`run` on a
 :class:`~brownmin.oracle.BrownianOracle`, so every M_n and every final
-value agrees bit for bit.
+value agrees bit for bit.  Both searches read the search offset of each
+level from one table per lam, built once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -63,9 +78,11 @@ from .dyadic import (
     ONE,
     MAX_LEVEL_CAP,
     _GAP_LENGTHS,
+    _MIDPOINT_SDS,
     DepthExceededError,
     DyadicPoint,
     Skeleton,
+    _canonical,
 )
 from .oracle import PathOracle
 
@@ -81,6 +98,16 @@ def search_offset(x: float, lam: float) -> float:
     if not (math.isfinite(lam) and lam >= 1.0):
         raise ValueError(f"lam must be finite and >= 1, got {lam}")
     return math.sqrt(lam * x * math.log(1.0 / x))
+
+
+@functools.lru_cache(maxsize=16)
+def _offset_table(lam: float) -> tuple[float, ...]:
+    # search_offset(2^-L, lam) at every level L, for a lam already checked,
+    # from Python floats (np.float64 scalars are several times slower) and
+    # math.log (np.log may miss by one ulp).  Every level, not only up to
+    # a cap: a state stepped under a lower cap than before can hold a
+    # smallest gap deeper than that cap
+    return tuple(math.sqrt(lam * x * math.log(1.0 / x)) for x in _GAP_LENGTHS)
 
 
 @dataclass(frozen=True)
@@ -132,7 +159,8 @@ class MinimizerState:
     |v_i - v_{i-1}| / sqrt(gap_i) over every gap created so far, a
     diagnostic for how rough the observed path is, as a NumPy float64.
 
-    Once the state exists, only :func:`step` may add sites to its skeleton.
+    Once the state exists, only :func:`step` and :func:`run` may add sites
+    to its skeleton.
     """
 
     __slots__ = ("skeleton", "max_scaled_increment", "next_split", "rho_max",
@@ -221,63 +249,185 @@ def init_state(oracle: PathOracle, config: MinimizerConfig) -> tuple[MinimizerSt
 def step(state: MinimizerState, oracle: PathOracle, config: MinimizerConfig) -> StepTrace:
     """Split the highest-scoring gap at its midpoint and evaluate there.
 
-    Only the two halves of the split gap get new scores, unless M_n, the
-    smallest gap or lam changed; then every gap is rescored with
-    split_scores.
+    One pass of the search loop that :func:`run` runs to the end, so a
+    state stepped to n equals the state run to n bit for bit.  A split
+    deeper than the level cap raises DepthExceededError and leaves the
+    state, its skeleton and the oracle as they were.
     """
-    skel = state.skeleton
-    values = skel._values
-    if oracle.skeleton is not skel or len(values) - 1 != state._n:
-        raise ValueError("the state's skeleton was changed outside step")
     j = state.next_split
-    g = j - 1
-    level = skel._gap_levels[g] + 1
-    if level > config.level_cap:
-        raise DepthExceededError(
-            f"midpoint of ({skel.site(g)}, {skel.site(j)}) needs level {level} "
-            f"> cap {config.level_cap}"
-        )
-    m_old = skel._min_value
-    tau_old = skel._tau_level
-    value = oracle.split(j)
-    n = state._n = len(values) - 1
-
-    a = values[g]
-    b = values[j + 1]
-    half = _GAP_LENGTHS[level]
-    increment = max(abs(value - a), abs(b - value)) / math.sqrt(half)
-    if increment > state.max_scaled_increment:
-        state.max_scaled_increment = np.float64(increment)
-
-    if value < m_old or level > tau_old or config.lam != state._lam:
-        scores = state._scores = array("d", split_scores(state, config.lam).tobytes())
-        state._lam = config.lam
-        state._shift = _score_shift(skel, config.lam)
-    else:
-        scores = state._scores
-        scores[g] = _score(half, a, value, state._shift)
-        scores.insert(j, _score(half, value, b, state._shift))
-
-    next_split = select_split(np.frombuffer(scores))
-    rho_max = scores[next_split - 1]
-    if not math.isfinite(rho_max):
-        raise FloatingPointError(f"split score {rho_max!r} of gap {next_split} at n={n}")
-    state.next_split = next_split
-    state.rho_max = rho_max
-    site = skel._sites[-1]  # the split's new site, the last one evaluated
-    return StepTrace(n, j, site, value, skel._min_value, skel._tau_level,
-                     rho_max, math.exp(-2.0 / rho_max))
+    _search(state, oracle, config, state._n + 1)
+    skel = state.skeleton
+    rho_max = state.rho_max
+    return StepTrace(state._n, j, skel.site(j), skel._values[j], skel._min_value,
+                     skel._tau_level, rho_max, math.exp(-2.0 / rho_max))
 
 
-def run(oracle: PathOracle, config: MinimizerConfig) -> tuple[MinimizerState, list[StepTrace]]:
+def run(oracle: PathOracle, config: MinimizerConfig) -> tuple[MinimizerState, Trace]:
     """Run the full search for config.max_steps evaluations (site 0 not
-    counted) and return the final state with one trace row per state
-    n = 2 .. max_steps."""
+    counted) and return the final state with its :class:`Trace`, one row
+    per state n = 2 .. max_steps."""
     state, first = init_state(oracle, config)
-    traces = [first]
-    while state.n < config.max_steps:
-        traces.append(step(state, oracle, config))
-    return state, traces
+    values = array("d", [first.value])
+    rhos = array("d", [first.rho_max])
+    _search(state, oracle, config, config.max_steps, values, rhos)
+    return state, Trace(state.skeleton, values, rhos)
+
+
+def _search(state: MinimizerState, oracle: PathOracle, config: MinimizerConfig, stop: int,
+            values: array | None = None, rhos: array | None = None) -> None:
+    # The search loop behind step and run: split until the state holds
+    # ``stop`` evaluations, appending each new state's value and largest
+    # score to ``values`` and ``rhos`` when given.  The skeleton's buffers,
+    # the scores, M_n, the tau level and the running increment sit in
+    # locals.  A split makes one Python-level call, oracle.midpoint, and
+    # grows the skeleton with the statements of Skeleton.split.  With M_n,
+    # tau and lam unchanged it scores the two halves of the split gap;
+    # otherwise split_scores, looked up at call time, rescores every gap.
+    skel = state.skeleton
+    vals = skel._values
+    n = state._n
+    if oracle.skeleton is not skel or len(vals) - 1 != n:
+        raise ValueError("the state's skeleton was changed outside step")
+    lam = config.lam
+    cap = config.level_cap
+    levels = skel._gap_levels
+    gap_left = skel._gap_left
+    nums = skel._site_nums
+    site_levels = skel._site_levels
+    midpoint = oracle.midpoint
+    frombuffer = np.frombuffer
+    isfinite = math.isfinite
+    lengths = _GAP_LENGTHS
+    spreads = _MIDPOINT_SDS  # sqrt(2^-L) / 2, so sqrt(2^-L) is exactly twice it
+    scores = state._scores
+    shift = state._shift
+    stale = lam != state._lam
+    m = skel._min_value
+    tau = skel._tau_level
+    increment_start = increment_max = float(state.max_scaled_increment)
+    j = state.next_split
+    rho = state.rho_max
+    try:
+        while n < stop:
+            g = j - 1
+            level = levels[g] + 1
+            if level > cap:
+                raise DepthExceededError(
+                    f"midpoint of ({skel.site(g)}, {skel.site(j)}) needs level {level} "
+                    f"> cap {cap}"
+                )
+            value = midpoint(j)
+            vals.insert(j, value)
+            levels[g] = level
+            levels.insert(j, level)
+            n += 1  # also the new site's id
+            left = gap_left[g]
+            gap_left.insert(j, n)
+            nums.append((nums[left] << (level - site_levels[left])) | 1)
+            site_levels.append(level)
+
+            a = vals[g]
+            b = vals[j + 1]
+            half = lengths[level]
+            # max(|value - a|, |b - value|) / sqrt(half), without the calls
+            rise = value - a
+            if rise < 0.0:
+                rise = -rise
+            fall = b - value
+            if fall < 0.0:
+                fall = -fall
+            increment = (fall if fall > rise else rise) / (2.0 * spreads[level])
+            if increment > increment_max:
+                increment_max = increment
+            if value < m or level > tau or stale:
+                if value < m:
+                    m = skel._min_value = value
+                if level > tau:
+                    tau = skel._tau_level = level
+                scores = state._scores = array("d", split_scores(state, lam).tobytes())
+                shift = state._shift = m - _offset_table(lam)[tau]
+                state._lam = lam
+                stale = False
+            else:
+                scores[g] = half / ((a - shift) * (value - shift))  # _score
+                scores.insert(j, half / ((value - shift) * (b - shift)))
+
+            best = int(frombuffer(scores).argmax())
+            top = scores[best]
+            if not isfinite(top):
+                raise FloatingPointError(f"split score {top!r} of gap {best + 1} at n={n}")
+            j = best + 1
+            rho = top
+            if values is not None:
+                values.append(value)
+                rhos.append(rho)
+    finally:
+        state._n = n
+        state.next_split = j
+        state.rho_max = rho
+        if increment_max != increment_start:  # a NumPy float64, as documented
+            state.max_scaled_increment = np.float64(increment_max)
+
+
+class Trace(Sequence):
+    """The states n = 2 .. N of one :func:`run`, kept as columns.
+
+    The search records only each state's new value and largest score.
+    M_n is the running minimum of the values from min(0, f(1)), the tau
+    level the running maximum of the new sites' levels, and the sites come
+    from the skeleton's site table.  Row i is the :class:`StepTrace` of
+    state n = i + 2, built when asked for and equal field for field to the
+    one :func:`step` returns, so the trace reads as a sequence of them;
+    a slice is a list of rows.  A row's split index counts the earlier
+    sites left of its site, O(N) per row, so code that reads a whole
+    column uses ``m_n`` (the M_n column as an array) or
+    :func:`write_trace_csv` instead.
+    """
+
+    __slots__ = ("_values", "_rhos", "_nums", "_levels", "_m_n", "_taus", "_positions")
+
+    def __init__(self, skeleton: Skeleton, values: array, rhos: array):
+        stop = len(values) + 2  # the site with id n was evaluated at state n
+        self._values = values
+        self._rhos = rhos
+        self._nums = skeleton._site_nums[2:stop]
+        self._levels = skeleton._site_levels[2:stop]
+        # min(m, value) keeps m unless value < m, as the skeleton's update
+        self._m_n = list(accumulate(values, min, initial=min(0.0, skeleton._values[-1])))[1:]
+        self._taus = np.maximum.accumulate(np.array(self._levels)).tolist()
+        # each site's place in site order, by id (the endpoint 1 is last):
+        # the gap a state split is the count of earlier sites left of its site
+        places = np.empty(len(skeleton._values), dtype=np.int64)
+        places[np.array(skeleton._gap_left)] = np.arange(len(skeleton._gap_left))
+        places[1] = len(skeleton._gap_left)
+        self._positions = places[:stop]
+
+    @property
+    def m_n(self) -> np.ndarray:
+        """M_n of every state, in order."""
+        return np.array(self._m_n)
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        i = range(len(self._values))[i]
+        n = i + 2
+        places = self._positions
+        rho = self._rhos[i]
+        return StepTrace(n, int(np.count_nonzero(places[:n] < places[n])),
+                         _canonical(self._nums[i], self._levels[i]), self._values[i],
+                         self._m_n[i], self._taus[i], rho, math.exp(-2.0 / rho))
+
+    def __eq__(self, other) -> bool:
+        # row by row, so a trace equals the list of rows step returns
+        if isinstance(other, Sequence):
+            return len(self) == len(other) and all(map(operator.eq, self, other))
+        return NotImplemented
+
+    __hash__ = None
 
 
 class BlockResult(NamedTuple):
@@ -323,9 +473,8 @@ def search_block(normals: np.ndarray, lam: float, level_cap: int,
     if len(set(record)) != len(record):
         raise ValueError(f"recorded n must not repeat, got {record}")
 
-    # the scalar search offset per level (math.log, which np.log may miss
-    # by one ulp); lengths and midpoint spreads come from the dyadic tables
-    offset = np.array([search_offset(length, lam) for length in GAP_LENGTH[: level_cap + 1]])
+    # lengths and midpoint spreads come from the dyadic tables
+    offset = np.array(_offset_table(lam))
     columns = np.ascontiguousarray(normals.T)  # step k reads row k
 
     # a row holds ``width`` slots, doubled (never past n_max) when its
@@ -474,31 +623,46 @@ def check_score_bound(state: MinimizerState, config: MinimizerConfig) -> ScoreBo
                            score_bound, applicable)
 
 
-def write_trace_csv(traces: list[StepTrace], path, deltas: np.ndarray | None = None) -> None:
+def write_trace_csv(traces: Trace | Sequence[StepTrace], path,
+                    deltas: np.ndarray | None = None) -> None:
     """Write trace rows as CSV.
 
-    Columns: n, t_exact, t_float, value, M_n, tau_level, rho_max,
+    ``traces`` is a :class:`Trace`, formatted straight from its columns,
+    or a sequence of :class:`StepTrace` rows, turned into the same columns
+    first.  Columns: n, t_exact, t_float, value, M_n, tau_level, rho_max,
     undershoot_max, plus delta_n when ``deltas`` (one value per row) is
     given.  Floats carry 17 significant digits so they round-trip exactly.
     Lines end in "\r\n" and no field needs quoting, so the bytes are
     those of ``csv.writer``.
     """
-    header = "n,t_exact,t_float,value,M_n,tau_level,rho_max,undershoot_max"
-    row = "%d,%s,%.17g,%.17g,%s,%d,%.17g,%.17g"
-    m_n = _format_runs([tr.m_n for tr in traces])
-    if deltas is None:
-        lines = [row % (tr.n, tr.site, float(tr.site), tr.value, m, tr.tau_level,
-                        tr.rho_max, tr.undershoot_max) for tr, m in zip(traces, m_n)]
+    if isinstance(traces, Trace):
+        ns = range(2, len(traces) + 2)
+        nums, levels, values = traces._nums, traces._levels, traces._values
+        m_n, taus, rhos = traces._m_n, traces._taus, traces._rhos
+        undershoots = [math.exp(-2.0 / rho) for rho in rhos]
     else:
-        if len(deltas) != len(traces):
+        ns = [tr.n for tr in traces]
+        nums = [tr.site.numerator for tr in traces]
+        levels = [tr.site.level for tr in traces]
+        values = [tr.value for tr in traces]
+        m_n = [tr.m_n for tr in traces]
+        taus = [tr.tau_level for tr in traces]
+        rhos = [tr.rho_max for tr in traces]
+        undershoots = [tr.undershoot_max for tr in traces]
+    # float(num / 2^level): the int rounds to the nearest double and the
+    # power of two scales it exactly (a site below 2^-1022 is 2^-1023)
+    t_floats = map(operator.mul, nums, map(_GAP_LENGTHS.__getitem__, levels))
+    header = "n,t_exact,t_float,value,M_n,tau_level,rho_max,undershoot_max"
+    row = "%d,%d/2^%d,%.17g,%.17g,%s,%d,%.17g,%.17g"
+    columns = [ns, nums, levels, t_floats, values, _format_runs(m_n), taus, rhos, undershoots]
+    if deltas is not None:
+        if len(deltas) != len(ns):
             raise ValueError("need one delta per trace row")
         header += ",delta_n"
         row += ",%s"
-        lines = [row % (tr.n, tr.site, float(tr.site), tr.value, m, tr.tau_level,
-                        tr.rho_max, tr.undershoot_max, delta)
-                 for tr, m, delta in zip(traces, m_n, _format_runs(deltas))]
+        columns.append(_format_runs(deltas))
     with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join([header, *lines, ""]))
+        fh.write("\r\n".join([header, *map(row.__mod__, zip(*columns)), ""]))
 
 
 def _format_runs(column) -> list[str]:

@@ -2,9 +2,12 @@
 
 A path oracle is observed the way the adaptive search observes a path:
 ``evaluate(ONE)`` gives the endpoint f(1) once, on a fresh oracle, and
-every later site is the midpoint of a known gap, added by
-:meth:`PathOracle.split` with the gap's index.  Each value is recorded in
-the oracle's :class:`~brownmin.dyadic.Skeleton`.  The Brownian oracle
+records it in the oracle's :class:`~brownmin.dyadic.Skeleton`; every
+later site is the midpoint of a known gap, whose value
+:meth:`PathOracle.midpoint` answers with the gap's index and the caller
+records.  The search records each midpoint value itself, growing the
+skeleton in its own loop; :meth:`PathOracle.split` answers and records
+in one call, for code outside a search.  The Brownian oracle
 materialises a Brownian path lazily: W(1) is drawn unconditionally and
 every midpoint is drawn from the exact bridge law between its two
 neighbours, so the conditional law given the skeleton is exact at every
@@ -25,31 +28,43 @@ from .rng import RngStream
 
 class PathOracle(abc.ABC):
     """Evaluation contract, with f(0) = 0: ``evaluate(ONE)`` once, then
-    ``split(j)`` only.  Both record their value in ``skeleton``."""
+    values at gap midpoints only.  ``evaluate`` records its value in
+    ``skeleton``; ``midpoint`` answers without recording, and the caller
+    records the value with ``skeleton.split``."""
 
     skeleton: Skeleton
 
     @abc.abstractmethod
     def evaluate(self, t: DyadicPoint) -> float:
-        """Value at the endpoint t = 1 of a fresh oracle.  Any other t, or
-        a second call, raises ValueError."""
+        """Value at the endpoint t = 1 of a fresh oracle, recorded in the
+        skeleton.  Any other t, or a second call, raises ValueError."""
 
     @abc.abstractmethod
+    def midpoint(self, j: int) -> float:
+        """Value at the midpoint of gap j (1-based) of the skeleton, not
+        recorded.  Until the skeleton changes, asking again gives the same
+        value; an index with no gap raises IndexError."""
+
     def split(self, j: int) -> float:
-        """Evaluate the midpoint of gap j (1-based), insert it into the
-        skeleton at index j and return its value."""
+        """Evaluate the midpoint of gap j, insert it into the skeleton at
+        index j and return its value."""
+        value = self.midpoint(j)
+        self.skeleton.split(j, value)
+        return value
 
 
 class BrownianOracle(PathOracle):
     """Lazily bridge-sampled Brownian path.
 
-    ``evaluate(ONE)`` draws W(1) as a standard normal; ``split(j)`` draws
-    the midpoint of gap j from the bridge midpoint law between its two
-    neighbours.
+    ``evaluate(ONE)`` draws W(1) as a standard normal; ``midpoint(j)``
+    draws the midpoint of gap j from the bridge midpoint law between its
+    two neighbours.
 
-    The k-th new site uses the k-th normal of ``stream``, and a refused
-    call uses none.  The normals are drawn from the stream in blocks, so
-    the stream may have advanced past the last normal used.  ``capacity``
+    The k-th new site uses the k-th normal of ``stream``: the normal is
+    picked by the skeleton's site count, so a refused call uses none and
+    ``midpoint`` asked again before a split gives the same value.  The
+    normals are drawn from the stream in blocks, so the stream may have
+    advanced past the last normal used.  ``capacity``
     sizes only the first block (at least 8 draws); each later block
     doubles it.  It must be an integer of at least 1: a float raises
     TypeError, a smaller value ValueError.
@@ -64,30 +79,33 @@ class BrownianOracle(PathOracle):
         self._block = max(capacity, 8)
         self._normals: list[float] = []
 
-    def _normal(self) -> float:
-        # indexed by the site count, so a call the skeleton refuses uses none
-        k = len(self.skeleton._values) - 1
+    def _draw(self, k: int) -> list[float]:
+        # the normals, drawn on to hold the k-th
         while k >= len(self._normals):
             self._normals += self.stream.gaussians(self._block).tolist()
             self._block *= 2
-        return self._normals[k]
+        return self._normals
 
     def evaluate(self, t: DyadicPoint) -> float:
-        value = self._normal()
-        self.skeleton.insert(t, value)
+        value = self._draw(0)[0]
+        self.skeleton.insert(t, value)  # refuses any t but ONE of a fresh skeleton
         return value
 
-    def split(self, j: int) -> float:
+    def midpoint(self, j: int) -> float:
         # midpoint of a gap of level L between values a and b: mean
-        # (a + b)/2 and standard deviation MIDPOINT_SD[L] = sqrt(2^-L)/2
-        skel = self.skeleton
-        values = skel._values
+        # (a + b)/2 and standard deviation MIDPOINT_SD[L] = sqrt(2^-L)/2.
+        # The search calls this once per split, so the normals are read
+        # here, not through a further call, until a block runs out
+        values = self.skeleton._values
+        k = len(values) - 1
+        if not 1 <= j <= k:
+            raise IndexError(f"gap index {j} out of range")
+        normals = self._normals
+        if k >= len(normals):
+            normals = self._draw(k)
         a = values[j - 1]
-        b = values[j]
-        sd = _MIDPOINT_SDS[skel._gap_levels[j - 1]]
-        value = a + 0.5 * (b - a) + sd * self._normal()
-        skel.split(j, value)
-        return value
+        return (a + 0.5 * (values[j] - a)
+                + _MIDPOINT_SDS[self.skeleton._gap_levels[j - 1]] * normals[k])
 
 
 class DeterministicOracle(PathOracle):
@@ -104,11 +122,8 @@ class DeterministicOracle(PathOracle):
         self.skeleton.insert(t, value)  # refuses any t but ONE
         return value
 
-    def split(self, j: int) -> float:
-        skel = self.skeleton
-        value = float(self.fn(float(skel.gap_midpoint(j))))
-        skel.split(j, value)
-        return value
+    def midpoint(self, j: int) -> float:
+        return float(self.fn(float(self.skeleton.gap_midpoint(j))))
 
 
 def grid_reference_min(oracle: DeterministicOracle, grid_size: int) -> float:

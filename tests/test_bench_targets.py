@@ -2,9 +2,12 @@
 
 ``bench/layers.py`` names the package functions it traces in ``TARGETS``;
 a renamed or deleted one otherwise shows only in a traced benchmark run.
-``bench/workloads.py`` runs the score-bound loop, whose pinned bytes hold
-every per-path ``step`` and ``check_score_bound`` record.  Both modules
-are loaded from their files and not changed.
+Its ``Tracer`` replaces them while installed and derives counters from
+what they see: the oracle's ``evaluate`` and the full rescores that
+``split_scores`` makes, which the search must therefore look up at call
+time.  ``bench/workloads.py`` runs the score-bound loop, whose pinned
+bytes hold every per-path ``step`` and ``check_score_bound`` record.
+Both modules are loaded from their files and not changed.
 """
 
 import hashlib
@@ -13,6 +16,9 @@ import importlib.util
 import json
 import sys
 from pathlib import Path
+
+import brownmin.cli
+from brownmin import BrownianOracle, MinimizerConfig, RngStream, run
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -50,3 +56,18 @@ def test_score_bound_records_match_the_golden_hash(tmp_path):
     assert hashlib.sha256(job.output).hexdigest() == golden["sha256"]["score-bound"]
     assert golden["sha256"]["score-bound"] == (
         "818aee3271561173925fab3f3f69266786906f8ec52897b30241933f1f101369")
+
+
+def test_traced_simulate_sees_the_oracle_and_the_rescores(tmp_path):
+    layers = _load("layers")
+    argv = ["simulate", "--lambda", "1", "--steps", "300", "--seed", "3"]
+    config = MinimizerConfig(lam=1.0, max_steps=300)
+    plain = run(BrownianOracle(RngStream(3, 0)), config)[1]
+    tracer = layers.Tracer()
+    with tracer.install():
+        assert brownmin.cli.main(argv + ["--out", str(tmp_path / "traced.csv")]) == 0
+        traced = run(BrownianOracle(RngStream(3, 0)), config)[1]
+    metrics = tracer.layer_metrics()
+    assert metrics["oracle.BrownianOracle.evaluate.calls"] > 0
+    assert 0.0 < metrics["minimizer.rescore_useful_ratio"] <= 1.0
+    assert traced == plain

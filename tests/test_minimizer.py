@@ -7,10 +7,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from brownmin.dyadic import ONE, ZERO, DepthExceededError, DyadicPoint
+from brownmin.dyadic import (
+    DEFAULT_LEVEL_CAP,
+    MAX_LEVEL_CAP,
+    ONE,
+    ZERO,
+    _MIDPOINT_SDS,
+    DepthExceededError,
+    DyadicPoint,
+)
 from brownmin.minimizer import (
     MinimizerConfig,
     StepTrace,
+    Trace,
+    _offset_table,
     check_score_bound,
     init_state,
     run,
@@ -49,6 +59,21 @@ def test_search_offset_domain():
     for bad_lam in (0.99, math.nan, math.inf):
         with pytest.raises(ValueError):
             search_offset(0.5, bad_lam)
+
+
+def test_level_tables_equal_the_scalar_formulas():
+    # one cached offset table per lam, from Python floats, bit for bit the
+    # offset search_offset gives the gap length 2^-L at every level L
+    for lam in (1.0, 8.0, 2.5):
+        table = _offset_table(lam)
+        assert table is _offset_table(lam)
+        assert len(table) == MAX_LEVEL_CAP + 1
+        for level in (1, 52, 111, DEFAULT_LEVEL_CAP, MAX_LEVEL_CAP):
+            assert table[level].hex() == search_offset(2.0**-level, lam).hex()
+    # the search divides increments by sqrt(2^-L), read as twice the
+    # midpoint spread
+    for level in range(MAX_LEVEL_CAP + 1):
+        assert math.sqrt(2.0**-level) == 2.0 * _MIDPOINT_SDS[level]
 
 
 def test_config_validation():
@@ -274,6 +299,106 @@ def test_step_refuses_a_skeleton_changed_outside_step():
         step(state, other, config)
 
 
+def _bits(x):
+    # a field as its type and exact bits, so -0.0, 0.0 and NaNs differ
+    return (type(x), x.hex() if isinstance(x, float) else x)
+
+
+def _stepped(oracle, config):
+    """The init_state + step loop to config.max_steps: its state and rows."""
+    state, first = init_state(oracle, config)
+    rows = [first]
+    while state.n < config.max_steps:
+        rows.append(step(state, oracle, config))
+    return state, rows
+
+
+def _state_bits(state):
+    skel = state.skeleton
+    return (skel.values.tobytes(), skel.gap_levels.tobytes(), skel.sites, skel.min_value,
+            skel.tau_level, state.scores.tobytes(), state.next_split,
+            _bits(state.rho_max), type(state.max_scaled_increment),
+            float(state.max_scaled_increment).hex())
+
+
+@pytest.mark.parametrize("make, lam, steps", [
+    (lambda: BrownianOracle(RngStream(81, 1)), 1.0, 2000),
+    (lambda: BrownianOracle(RngStream(81, 8)), 8.0, 2000),
+    (lambda: DeterministicOracle(piecewise([(0.0, 0.0), (0.3, -0.4), (0.5, 0.1), (1.0, -0.2)])),
+     2.0, 400),
+], ids=["brownian-lam1", "brownian-lam8", "deterministic"])
+def test_run_trace_equals_stepped_rows(make, lam, steps):
+    # one loop, two views: run's columnar trace and the rows step returns;
+    # on the deterministic path f(1) < 0 is M_2, so the trace's running
+    # minimum must start from it
+    config = MinimizerConfig(lam=lam, max_steps=steps)
+    run_state, trace = run(make(), config)
+    step_state, rows = _stepped(make(), config)
+    assert isinstance(trace, Trace) and len(trace) == len(rows) == steps - 1
+    for got, want in zip(trace, rows):
+        assert type(got) is StepTrace
+        assert [_bits(x) for x in got] == [_bits(x) for x in want], want.n
+    assert _state_bits(run_state) == _state_bits(step_state)
+    assert (trace == rows) is True and (rows == trace) is True
+    assert np.array_equal(trace.m_n, [row.m_n for row in rows])
+
+
+def test_trace_reads_as_a_sequence_of_rows():
+    config = MinimizerConfig(lam=1.0, max_steps=40)
+    _, trace = run(BrownianOracle(RngStream(82, 0)), config)
+    rows = list(trace)
+    assert len(rows) == len(trace) == 39
+    assert trace[-1] == rows[-1] and trace[-1].n == 40 and trace[0].n == 2
+    assert trace[3:7] == rows[3:7] and trace[::-5] == rows[::-5]
+    with pytest.raises(IndexError):
+        trace[39]
+    # traces compare as bools, equal only on equal rows
+    same = run(BrownianOracle(RngStream(82, 0)), config)[1]
+    other = run(BrownianOracle(RngStream(82, 1)), config)[1]
+    shorter = run(BrownianOracle(RngStream(82, 0)), MinimizerConfig(lam=1.0, max_steps=39))[1]
+    assert (trace == same) is True and (trace != same) is False
+    assert (trace == other) is False and (trace == shorter) is False
+    assert (trace == rows[:-1]) is False
+    assert trace != "not a trace"
+
+
+def test_refused_split_leaves_the_state_as_it_was():
+    # a cap of 7 is reached on this path before n = 60
+    oracle = BrownianOracle(RngStream(83, 0))
+    capped = MinimizerConfig(lam=1.0, max_steps=60, level_cap=7)
+    state, first = init_state(oracle, capped)
+    rows = [first]
+    with pytest.raises(DepthExceededError):
+        while True:
+            before = _state_bits(state)
+            rows.append(step(state, oracle, capped))
+    assert state.n < 60
+    assert _state_bits(state) == before
+    assert state.skeleton.n == state.n == len(rows) + 1
+    # no normal was used: stepping on under a higher cap is the fresh run
+    config = MinimizerConfig(lam=1.0, max_steps=60)
+    while state.n < config.max_steps:
+        rows.append(step(state, oracle, config))
+    fresh_state, fresh = run(BrownianOracle(RngStream(83, 0)), config)
+    assert fresh == rows
+    assert _state_bits(state) == _state_bits(fresh_state)
+
+
+def test_a_non_finite_split_is_recorded_before_the_refusal():
+    # the site 3/4 has the value NaN: the step that adds it records it,
+    # then refuses the NaN score it makes
+    oracle = DeterministicOracle(lambda t: math.nan if t == 0.75 else t * (t - 0.6))
+    config = MinimizerConfig(lam=1.0, max_steps=40)
+    state, _ = init_state(oracle, config)
+    skel = state.skeleton
+    with pytest.raises(FloatingPointError):
+        while True:
+            n = state.n
+            step(state, oracle, config)
+    assert skel.n == n + 1
+    assert DyadicPoint(3, 2) in skel.sites and np.isnan(skel.values).sum() == 1
+
+
 def test_undershoot_probabilities():
     probs = undershoot_probabilities(np.array([1.4426950408889634, 2.0, 1e-9]))
     assert probs[0] == pytest.approx(0.25, rel=1e-12)
@@ -418,7 +543,9 @@ def test_trace_csv_bytes_equal_csv_writer(tmp_path):
            for n, value in enumerate([5e-324, -1e308, math.nan, -math.inf], start=2)]
     odd_deltas = np.array([0.0, -0.0, math.nan, 2.0 ** -1074])
     out = tmp_path / "trace.csv"
-    for rows, row_deltas in ((traces, deltas), (traces, None), (traces[:1], deltas[:1]),
-                             (traces[:1], None), (odd, odd_deltas), ([], None)):
+    # a Trace is formatted from its columns, a list of rows field by field
+    for rows, row_deltas in ((traces, deltas), (traces, None), (list(traces), deltas),
+                             (traces[:1], deltas[:1]), (traces[:1], None),
+                             (odd, odd_deltas), ([], None)):
         write_trace_csv(rows, out, deltas=row_deltas)
         assert out.read_bytes() == _csv_writer_bytes(rows, row_deltas)

@@ -143,6 +143,28 @@ def test_refused_calls_use_no_normal():
     assert np.array_equal(skel.values, reference.skeleton.values)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: BrownianOracle(RngStream(18, 0), capacity=8),
+    lambda: DeterministicOracle(lambda t: math.sin(7.0 * t)),
+], ids=["brownian", "deterministic"])
+def test_midpoint_answers_without_recording(make):
+    # asked twice, midpoint gives the same value, records nothing and uses
+    # no normal: the split after it takes the value, as on an oracle that
+    # was never asked; past 8 sites the Brownian oracle draws a new block
+    oracle, reference = make(), make()
+    skel = oracle.skeleton
+    assert oracle.evaluate(ONE) == reference.evaluate(ONE)
+    for j in (1, 1, 2, 3, 1, 5, 4, 2, 8, 9, 3, 11, 1):
+        values, levels = skel.values, skel.gap_levels
+        value = oracle.midpoint(j)
+        assert oracle.midpoint(j) == value
+        assert np.array_equal(skel.values, values) and np.array_equal(skel.gap_levels, levels)
+        assert oracle.split(j) == value == reference.split(j)
+    for j in (0, len(skel), -1):
+        with pytest.raises(IndexError):
+            oracle.midpoint(j)
+
+
 def test_skeleton_reflects_evaluations():
     oracle = BrownianOracle(RngStream(16, 0))
     oracle.evaluate(ONE)
@@ -208,7 +230,7 @@ def test_deterministic_oracle_splits_exactly_to_the_level_cap():
     assert deep.skeleton.n == MAX_LEVEL_CAP + 1
 
 
-def test_user_oracle_with_evaluate_and_split_can_be_searched():
+def test_user_oracle_with_evaluate_and_midpoint_can_be_searched():
     def fn(t):
         return (t - 1.0 / 3.0) ** 2 - 1.0 / 9.0
 
@@ -221,15 +243,17 @@ def test_user_oracle_with_evaluate_and_split_can_be_searched():
             self.skeleton.insert(t, value)
             return value
 
-        def split(self, j):
-            value = fn(float(self.skeleton.gap_midpoint(j)))
-            self.skeleton.split(j, value)
-            return value
+        def midpoint(self, j):
+            return fn(float(self.skeleton.gap_midpoint(j)))
 
     config = MinimizerConfig(lam=1.0, max_steps=40)
     assert run(Quadratic(), config)[1] == run(DeterministicOracle(fn), config)[1]
+    # split, inherited, answers with midpoint and records the value
+    oracle = Quadratic()
+    oracle.evaluate(ONE)
+    assert oracle.split(1) == fn(0.5) == oracle.skeleton.values[1]
 
-    # split is part of the contract: an oracle without it cannot be made
+    # midpoint is part of the contract: an oracle without it cannot be made
     class EvaluateOnly(PathOracle):
         evaluate = Quadratic.evaluate
 
