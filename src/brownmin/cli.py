@@ -19,16 +19,13 @@ from .harness import (
     ADAPTIVE,
     EQUIDISTANT,
     ExperimentPlan,
+    _replicate,
     lambda_suggestion,
-    path_stream,
     run_experiment,
     run_experiments,
-    sample_true_min,
-    true_min_stream,
     write_errors_csv,
 )
-from .minimizer import MinimizerConfig, run, write_trace_csv
-from .oracle import BrownianOracle
+from .minimizer import write_trace_csv
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -89,19 +86,16 @@ def _level_cap(args) -> dict:
 
 
 def _simulate(args, parser) -> int:
+    # replication 0 of a plan that checks every input of the search
     try:
         plan = ExperimentPlan(
             lambdas=(args.lam,), n_grid=(args.steps,), p=2.0, replications=1,
             master_seed=args.seed, **_level_cap(args),
         )
-        config = MinimizerConfig(lam=args.lam, max_steps=args.steps, level_cap=plan.level_cap)
     except ValueError as exc:
         parser.error(str(exc))
-    oracle = BrownianOracle(path_stream(plan, ADAPTIVE, 0), capacity=args.steps + 2)
-    state, traces = run(oracle, config)
-    true_min = sample_true_min(state.skeleton, true_min_stream(plan, ADAPTIVE, 0))
-    deltas = traces.m_n - true_min
-    write_trace_csv(traces, args.out, deltas=deltas)
+    trace, true_min = _replicate(plan, args.lam, 0)
+    write_trace_csv(trace, args.out, deltas=trace.m_n - true_min)
     return 0
 
 

@@ -42,7 +42,7 @@ import numpy as np
 
 from .bridge import segment_minima
 from .dyadic import DEFAULT_LEVEL_CAP, MAX_LEVEL_CAP, Skeleton
-from .minimizer import MinimizerConfig, run, search_block
+from .minimizer import MinimizerConfig, Trace, run, search_block
 from .oracle import BrownianOracle
 from .rng import RngStream, gaussian_rows, uniform_open_closed_rows
 
@@ -150,13 +150,18 @@ def run_replication(plan: ExperimentPlan, lam: float, replication: int) -> np.nd
     depends on (master_seed, replication) only, so the same replication
     index sees the same underlying randomness for every lambda.
     """
+    trace, true_min = _replicate(plan, lam, replication)
+    return trace.m_n[np.array(plan.n_grid) - 2] - true_min
+
+
+def _replicate(plan: ExperimentPlan, lam: float, replication: int) -> tuple[Trace, float]:
+    # one adaptive replication's trace to max(n_grid) and its true minimum
     oracle = BrownianOracle(
         path_stream(plan, ADAPTIVE, replication), capacity=max(plan.n_grid) + 2
     )
     config = MinimizerConfig(lam=lam, max_steps=max(plan.n_grid), level_cap=plan.level_cap)
-    state, traces = run(oracle, config)
-    true_min = sample_true_min(state.skeleton, true_min_stream(plan, ADAPTIVE, replication))
-    return traces.m_n[np.array(plan.n_grid) - 2] - true_min
+    state, trace = run(oracle, config)
+    return trace, sample_true_min(state.skeleton, true_min_stream(plan, ADAPTIVE, replication))
 
 
 def run_replications(plan: ExperimentPlan, lam: float, replications) -> np.ndarray:
@@ -235,17 +240,31 @@ def run_equidistant_replications(plan: ExperimentPlan, replications) -> np.ndarr
 def estimate_lp_error(deltas: np.ndarray, p: float) -> tuple[float, float]:
     """(mean |delta|^p)^(1/p) and the sample std of |delta|^p.
 
-    The std uses ddof=1 and is reported as 0 for a single sample.
+    Where the mean of the p-th powers is not a positive, normal, finite
+    float (small errors at large p underflow), the L_p error is computed
+    as D (mean (|delta| / D)^p)^(1/p) with D = max |delta|, or 0 if D is.
+    The std uses ddof=1; it is 0 for a single sample and inf for powers
+    that overflow.
     """
     deltas = np.asarray(deltas, dtype=float)
     if len(deltas) == 0:
         raise ValueError("no error samples")
     if not (math.isfinite(p) and p >= 1.0):
         raise ValueError(f"p must be finite and >= 1, got {p}")
-    powers = np.abs(deltas) ** p
-    lp = float(np.mean(powers) ** (1.0 / p))
-    std = float(np.std(powers, ddof=1)) if len(deltas) > 1 else 0.0
-    return lp, std
+    sizes = np.abs(deltas)
+    with np.errstate(over="ignore"):  # an overflow takes the scaled form below
+        powers = sizes**p
+    mean = np.mean(powers)
+    if np.finfo(float).tiny <= mean < math.inf:
+        lp = float(mean ** (1.0 / p))
+    else:
+        largest = float(sizes.max())
+        lp = largest if largest in (0.0, math.inf) else (
+            largest * float(np.mean((sizes / largest) ** p)) ** (1.0 / p))
+    if len(deltas) == 1:
+        return lp, 0.0
+    # overflowed powers spread infinitely, not by the NaN of inf - inf
+    return lp, math.inf if mean == math.inf else float(np.std(powers, ddof=1))
 
 
 def fit_rate(points: list[tuple[float, float]]) -> float:

@@ -31,11 +31,12 @@ and :func:`run` for all the rest.  It keeps the skeleton's buffers, the
 scores, M_n, the tau level and the running scaled increment in locals,
 makes one Python-level call per split (the oracle's midpoint value) and
 grows the skeleton in place; no site object or trace row is built on the
-way.  For :func:`run` it appends each state's new value and largest score
-to two ``array.array`` columns, which :class:`Trace` turns into rows on
-demand: M_n is their running minimum, the tau level the running maximum
-of the new sites' levels, and the sites come from the skeleton's site
-table.  :func:`write_trace_csv` formats the columns directly.
+way.  For :func:`run` it appends each state's new value, largest score
+and split gap to three ``array.array`` columns, which :class:`Trace`
+turns into rows in O(1) each: M_n is the running minimum of the values,
+the tau level the running maximum of the new sites' levels, and state
+n's site has id n in the skeleton's site table.  Traces compare by these
+columns and :func:`write_trace_csv` formats them directly.
 
 :func:`search_block` runs R searches on Brownian paths in lockstep, one
 row per path, so that a step's Python overhead is paid once per block.
@@ -214,8 +215,10 @@ def split_scores(state: MinimizerState, lam: float) -> np.ndarray:
     skel = state.skeleton
     if skel.n < 2:
         raise ValueError("split scores are defined from n = 2 on")
-    values = skel.values
-    return _score(skel.gap_lengths, values[:-1], values[1:], _score_shift(skel, lam))
+    # views of the buffers, gone with the call: the next split grows them
+    values = np.frombuffer(skel._values)
+    return _score(GAP_LENGTH.take(np.frombuffer(skel._gap_levels, np.int16)), values[:-1],
+                  values[1:], _score_shift(skel, lam))
 
 
 def select_split(scores: np.ndarray) -> int:
@@ -252,35 +255,38 @@ def step(state: MinimizerState, oracle: PathOracle, config: MinimizerConfig) -> 
     One pass of the search loop that :func:`run` runs to the end, so a
     state stepped to n equals the state run to n bit for bit.  A split
     deeper than the level cap raises DepthExceededError and leaves the
-    state, its skeleton and the oracle as they were.
+    state, its skeleton and the oracle as they were.  The row's site is
+    read from the skeleton's site table by its id n.
     """
     j = state.next_split
     _search(state, oracle, config, state._n + 1)
     skel = state.skeleton
-    rho_max = state.rho_max
-    return StepTrace(state._n, j, skel.site(j), skel._values[j], skel._min_value,
-                     skel._tau_level, rho_max, math.exp(-2.0 / rho_max))
+    n, rho_max = state._n, state.rho_max
+    return StepTrace(n, j, _canonical(skel._site_nums[n], skel._site_levels[n]),
+                     skel._values[j], skel._min_value, skel._tau_level, rho_max,
+                     math.exp(-2.0 / rho_max))
 
 
 def run(oracle: PathOracle, config: MinimizerConfig) -> tuple[MinimizerState, Trace]:
     """Run the full search for config.max_steps evaluations (site 0 not
     counted) and return the final state with its :class:`Trace`, one row
-    per state n = 2 .. max_steps."""
+    per state n = 2 .. max_steps, as the search recorded it."""
     state, first = init_state(oracle, config)
-    values = array("d", [first.value])
-    rhos = array("d", [first.rho_max])
-    _search(state, oracle, config, config.max_steps, values, rhos)
-    return state, Trace(state.skeleton, values, rhos)
+    columns = (array("d", [first.value]), array("d", [first.rho_max]),
+               array("i", [first.split_index]))
+    _search(state, oracle, config, config.max_steps, *columns)
+    return state, Trace(state.skeleton, *columns)
 
 
 def _search(state: MinimizerState, oracle: PathOracle, config: MinimizerConfig, stop: int,
-            values: array | None = None, rhos: array | None = None) -> None:
+            values: array | None = None, rhos: array | None = None,
+            splits: array | None = None) -> None:
     # The search loop behind step and run: split until the state holds
-    # ``stop`` evaluations, appending each new state's value and largest
-    # score to ``values`` and ``rhos`` when given.  The skeleton's buffers,
-    # the scores, M_n, the tau level and the running increment sit in
-    # locals.  A split makes one Python-level call, oracle.midpoint, and
-    # grows the skeleton with the statements of Skeleton.split.  With M_n,
+    # ``stop`` evaluations, appending each new state's value, largest score
+    # and split gap to ``values``, ``rhos`` and ``splits`` when given.  The
+    # skeleton's buffers, the scores, M_n, the tau level and the running
+    # increment sit in locals.  A split makes one Python-level call,
+    # oracle.midpoint, and grows the skeleton with the statements of Skeleton.split.  With M_n,
     # tau and lam unchanged it scores the two halves of the split gap;
     # otherwise split_scores, looked up at call time, rescores every gap.
     skel = state.skeleton
@@ -356,11 +362,12 @@ def _search(state: MinimizerState, oracle: PathOracle, config: MinimizerConfig, 
             top = scores[best]
             if not isfinite(top):
                 raise FloatingPointError(f"split score {top!r} of gap {best + 1} at n={n}")
-            j = best + 1
-            rho = top
             if values is not None:
                 values.append(value)
-                rhos.append(rho)
+                rhos.append(top)
+                splits.append(j)  # the gap this pass split
+            j = best + 1
+            rho = top
     finally:
         state._n = n
         state.next_split = j
@@ -370,37 +377,31 @@ def _search(state: MinimizerState, oracle: PathOracle, config: MinimizerConfig, 
 
 
 class Trace(Sequence):
-    """The states n = 2 .. N of one :func:`run`, kept as columns.
+    """The states n = 2 .. N of one :func:`run`, as the search recorded them.
 
-    The search records only each state's new value and largest score.
-    M_n is the running minimum of the values from min(0, f(1)), the tau
-    level the running maximum of the new sites' levels, and the sites come
-    from the skeleton's site table.  Row i is the :class:`StepTrace` of
-    state n = i + 2, built when asked for and equal field for field to the
-    one :func:`step` returns, so the trace reads as a sequence of them;
-    a slice is a list of rows.  A row's split index counts the earlier
-    sites left of its site, O(N) per row, so code that reads a whole
-    column uses ``m_n`` (the M_n column as an array) or
-    :func:`write_trace_csv` instead.
+    The search records each state's new value, largest score and split
+    gap.  M_n is the running minimum of the values from min(0, f(1)), the
+    tau level the running maximum of the new sites' levels, and the site
+    of state n is the site with id n in the skeleton's site table.  Row i
+    is the :class:`StepTrace` of state n = i + 2, built in O(1) when asked
+    for and equal field for field to the one :func:`step` returns, so the
+    trace reads as a sequence of them; a slice is a list of rows.  Two
+    traces are equal when their recorded columns and sites are; code that
+    compares a trace with rows compares ``list(trace)``.
     """
 
-    __slots__ = ("_values", "_rhos", "_nums", "_levels", "_m_n", "_taus", "_positions")
+    __slots__ = ("_values", "_rhos", "_splits", "_nums", "_levels", "_m_n", "_taus")
 
-    def __init__(self, skeleton: Skeleton, values: array, rhos: array):
+    def __init__(self, skeleton: Skeleton, values: array, rhos: array, splits: array):
         stop = len(values) + 2  # the site with id n was evaluated at state n
         self._values = values
         self._rhos = rhos
+        self._splits = splits
         self._nums = skeleton._site_nums[2:stop]
         self._levels = skeleton._site_levels[2:stop]
         # min(m, value) keeps m unless value < m, as the skeleton's update
         self._m_n = list(accumulate(values, min, initial=min(0.0, skeleton._values[-1])))[1:]
         self._taus = np.maximum.accumulate(np.array(self._levels)).tolist()
-        # each site's place in site order, by id (the endpoint 1 is last):
-        # the gap a state split is the count of earlier sites left of its site
-        places = np.empty(len(skeleton._values), dtype=np.int64)
-        places[np.array(skeleton._gap_left)] = np.arange(len(skeleton._gap_left))
-        places[1] = len(skeleton._gap_left)
-        self._positions = places[:stop]
 
     @property
     def m_n(self) -> np.ndarray:
@@ -414,18 +415,16 @@ class Trace(Sequence):
         if isinstance(i, slice):
             return [self[k] for k in range(*i.indices(len(self)))]
         i = range(len(self._values))[i]
-        n = i + 2
-        places = self._positions
         rho = self._rhos[i]
-        return StepTrace(n, int(np.count_nonzero(places[:n] < places[n])),
-                         _canonical(self._nums[i], self._levels[i]), self._values[i],
-                         self._m_n[i], self._taus[i], rho, math.exp(-2.0 / rho))
+        return StepTrace(i + 2, self._splits[i], _canonical(self._nums[i], self._levels[i]),
+                         self._values[i], self._m_n[i], self._taus[i], rho,
+                         math.exp(-2.0 / rho))
 
     def __eq__(self, other) -> bool:
-        # row by row, so a trace equals the list of rows step returns
-        if isinstance(other, Sequence):
-            return len(self) == len(other) and all(map(operator.eq, self, other))
-        return NotImplemented
+        # the recorded columns, the sites and the columns derived from them
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in Trace.__slots__)
 
     __hash__ = None
 
@@ -623,38 +622,24 @@ def check_score_bound(state: MinimizerState, config: MinimizerConfig) -> ScoreBo
                            score_bound, applicable)
 
 
-def write_trace_csv(traces: Trace | Sequence[StepTrace], path,
-                    deltas: np.ndarray | None = None) -> None:
-    """Write trace rows as CSV.
+def write_trace_csv(trace: Trace, path, deltas: np.ndarray | None = None) -> None:
+    """Write the rows of a :class:`Trace` as CSV, straight from its columns.
 
-    ``traces`` is a :class:`Trace`, formatted straight from its columns,
-    or a sequence of :class:`StepTrace` rows, turned into the same columns
-    first.  Columns: n, t_exact, t_float, value, M_n, tau_level, rho_max,
+    Columns: n, t_exact, t_float, value, M_n, tau_level, rho_max,
     undershoot_max, plus delta_n when ``deltas`` (one value per row) is
     given.  Floats carry 17 significant digits so they round-trip exactly.
     Lines end in "\r\n" and no field needs quoting, so the bytes are
     those of ``csv.writer``.
     """
-    if isinstance(traces, Trace):
-        ns = range(2, len(traces) + 2)
-        nums, levels, values = traces._nums, traces._levels, traces._values
-        m_n, taus, rhos = traces._m_n, traces._taus, traces._rhos
-        undershoots = [math.exp(-2.0 / rho) for rho in rhos]
-    else:
-        ns = [tr.n for tr in traces]
-        nums = [tr.site.numerator for tr in traces]
-        levels = [tr.site.level for tr in traces]
-        values = [tr.value for tr in traces]
-        m_n = [tr.m_n for tr in traces]
-        taus = [tr.tau_level for tr in traces]
-        rhos = [tr.rho_max for tr in traces]
-        undershoots = [tr.undershoot_max for tr in traces]
+    ns = range(2, len(trace) + 2)
+    nums, levels, rhos = trace._nums, trace._levels, trace._rhos
     # float(num / 2^level): the int rounds to the nearest double and the
     # power of two scales it exactly (a site below 2^-1022 is 2^-1023)
     t_floats = map(operator.mul, nums, map(_GAP_LENGTHS.__getitem__, levels))
     header = "n,t_exact,t_float,value,M_n,tau_level,rho_max,undershoot_max"
     row = "%d,%d/2^%d,%.17g,%.17g,%s,%d,%.17g,%.17g"
-    columns = [ns, nums, levels, t_floats, values, _format_runs(m_n), taus, rhos, undershoots]
+    columns = [ns, nums, levels, t_floats, trace._values, _format_runs(trace._m_n),
+               trace._taus, rhos, [math.exp(-2.0 / rho) for rho in rhos]]
     if deltas is not None:
         if len(deltas) != len(ns):
             raise ValueError("need one delta per trace row")

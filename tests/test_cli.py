@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from brownmin import cli
+from brownmin import harness
 from brownmin.cli import main
 
 
@@ -196,7 +196,8 @@ def test_non_finite_score_is_a_runtime_error(monkeypatch, tmp_path, capsys):
     def refuse(oracle, config):
         raise FloatingPointError("split score nan of gap 1 at n=2")
 
-    monkeypatch.setattr(cli, "run", refuse)
+    # simulate runs the search through the harness's replication
+    monkeypatch.setattr(harness, "run", refuse)
     out = tmp_path / "x.csv"
     assert main(SIMULATE + ["--out", str(out)]) == 3
     err = capsys.readouterr().err

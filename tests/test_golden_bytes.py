@@ -6,7 +6,9 @@ the CSV formatting that alters a single output byte fails here; a change
 that alters them on purpose must say so and pin the new hashes.
 """
 
+import csv
 import hashlib
+import sys
 
 import pytest
 
@@ -53,3 +55,17 @@ def test_bench_compare_csv_bytes(tmp_path, threads):
                  "--n-grid", "16,32,64,128,256,512", "--seed", str(SEED), "--out", str(out),
                  "--threads", threads]) == 0
     assert _sha256(out) == "930f0fa1a13a86436fe68a95d75e6143d3e519c354d9a009c6749161605b6009"
+
+
+def test_large_p_experiment_csv_bytes(tmp_path):
+    # at p = 60 the p-th powers of the n = 4096 errors underflow, so that
+    # cell's L_p error takes the scaled form; the direct form printed 0
+    out = tmp_path / "experiment.csv"
+    assert main(["experiment", "--lambdas", "1", "--p", "60", "--reps", "16",
+                 "--n-grid", "256,1024,4096", "--seed", str(SEED), "--out", str(out)]) == 0
+    assert _sha256(out) == "f188ec74c99458ebc8fed45c6d269fc37c12647db3d61d0ede1433da7b1e826a"
+    with open(out, newline="") as fh:
+        cells = {int(row["n"]): float(row["lp_error"]) for row in csv.DictReader(fh)}
+    # a mean p-th power of lp^60 is below the smallest normal float, where
+    # the direct form is not used
+    assert 0.0 < cells[4096] and cells[4096] ** 60 < sys.float_info.min

@@ -260,6 +260,35 @@ def test_estimate_lp_error_examples():
             estimate_lp_error(np.array([0.1]), bad_p)
 
 
+def test_estimate_lp_error_scales_powers_that_underflow_or_overflow():
+    # the p-th powers of both errors underflow to 0 at p = 200, and 3^700
+    # overflows: each estimate is max |delta| times the L_p norm of
+    # |delta| / max |delta|
+    lp, std = estimate_lp_error(np.array([1e-3, 2e-3]), 200.0)
+    assert lp == pytest.approx(2e-3 * ((1.0 + 2.0**-200) / 2.0) ** (1.0 / 200.0), rel=1e-15)
+    assert std == 0.0
+    lp, std = estimate_lp_error(np.array([3.0, 2.0]), 700.0)
+    assert lp == pytest.approx(3.0 * ((1.0 + (2.0 / 3.0) ** 700) / 2.0) ** (1.0 / 700.0),
+                               rel=1e-15)
+    assert std == math.inf
+    # a subnormal mean of the powers is scaled too
+    assert estimate_lp_error(np.array([1e-160, -1e-160]), 2.0)[0] == 1e-160
+
+
+def test_lp_error_grows_with_p_where_the_powers_underflow():
+    # the plan of ``experiment --lambdas 1 --reps 16 --n-grid 256,1024,4096
+    # --seed 1``: by the power-mean inequality L_p cannot fall as p grows,
+    # yet the direct form gave 0 at p = 60 and n = 4096
+    plan = ExperimentPlan(lambdas=(1.0,), n_grid=(256, 1024, 4096), p=2.0, replications=16,
+                          master_seed=1)
+    deltas = run_replications(plan, 1.0, range(plan.replications))
+    for column in deltas.T:
+        estimates = [estimate_lp_error(column, p) for p in (2.0, 8.0, 60.0, 200.0)]
+        errors = [lp for lp, _ in estimates]
+        assert 0.0 < errors[0] and all(a <= b for a, b in zip(errors, errors[1:])), errors
+        assert all(math.isfinite(lp) and math.isfinite(std) for lp, std in estimates)
+
+
 def test_fit_rate_examples():
     ns = [4, 16, 64]
     assert fit_rate([(n, n**-0.5) for n in ns]) == pytest.approx(-0.5, abs=1e-12)

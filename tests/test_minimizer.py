@@ -1,7 +1,9 @@
 import bisect
+import copy
 import csv
 import io
 import math
+from array import array
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +17,7 @@ from brownmin.dyadic import (
     _MIDPOINT_SDS,
     DepthExceededError,
     DyadicPoint,
+    Skeleton,
 )
 from brownmin.minimizer import (
     MinimizerConfig,
@@ -339,7 +342,7 @@ def test_run_trace_equals_stepped_rows(make, lam, steps):
         assert type(got) is StepTrace
         assert [_bits(x) for x in got] == [_bits(x) for x in want], want.n
     assert _state_bits(run_state) == _state_bits(step_state)
-    assert (trace == rows) is True and (rows == trace) is True
+    assert list(trace) == rows
     assert np.array_equal(trace.m_n, [row.m_n for row in rows])
 
 
@@ -358,8 +361,27 @@ def test_trace_reads_as_a_sequence_of_rows():
     shorter = run(BrownianOracle(RngStream(82, 0)), MinimizerConfig(lam=1.0, max_steps=39))[1]
     assert (trace == same) is True and (trace != same) is False
     assert (trace == other) is False and (trace == shorter) is False
-    assert (trace == rows[:-1]) is False
+    # a trace equals only a trace, not even the list of its own rows
+    assert (trace == rows) is False and trace != rows
     assert trace != "not a trace"
+
+
+def test_traces_differing_in_one_recorded_entry_are_unequal():
+    # each row is read from the recorded columns and the site table, so
+    # changing one entry of one column changes exactly one row, and the
+    # two traces compare unequal both ways
+    _, trace = run(BrownianOracle(RngStream(84, 0)), MinimizerConfig(lam=1.0, max_steps=60))
+    assert trace == copy.copy(trace)
+    for column in ("_values", "_rhos", "_splits", "_nums", "_levels"):
+        for k in (0, 29, len(trace) - 1):
+            entries = copy.copy(getattr(trace, column))
+            entry = entries[k]
+            entries[k] = math.nextafter(entry, math.inf) if isinstance(entry, float) else entry + 1
+            changed = copy.copy(trace)
+            setattr(changed, column, entries)
+            assert (changed == trace) is False and (trace == changed) is False, (column, k)
+            differing = [i for i, (a, b) in enumerate(zip(trace, changed)) if a != b]
+            assert differing == [k], (column, k)
 
 
 def test_refused_split_leaves_the_state_as_it_was():
@@ -380,7 +402,7 @@ def test_refused_split_leaves_the_state_as_it_was():
     while state.n < config.max_steps:
         rows.append(step(state, oracle, config))
     fresh_state, fresh = run(BrownianOracle(RngStream(83, 0)), config)
-    assert fresh == rows
+    assert list(fresh) == rows
     assert _state_bits(state) == _state_bits(fresh_state)
 
 
@@ -534,18 +556,52 @@ def _csv_writer_bytes(traces, deltas=None) -> bytes:
     return buffer.getvalue().encode()
 
 
+def _site_chain_trace(values, rhos):
+    # a Trace over a skeleton that splits its first gap every time, so
+    # row i's site is 1/2^(i + 1): 1023 rows reach the subnormal 2^-1023
+    skel = Skeleton()
+    skel.insert(ONE, -0.0)
+    for _ in values:
+        skel.split(1, 0.0)
+    return Trace(skel, array("d", values), array("d", rhos), array("i", [1] * len(values)))
+
+
 def test_trace_csv_bytes_equal_csv_writer(tmp_path):
     _, traces = run(BrownianOracle(RngStream(19, 19)), MinimizerConfig(lam=1.0, max_steps=300))
     deltas = np.array([tr.m_n for tr in traces]) + 0.5
     # floats whose formatting is easy to get wrong: signed zero, the
     # smallest subnormal, a huge value, nan and both infinities
-    odd = [StepTrace(n, 1, DyadicPoint(1, 1023), value, -0.0, 1023, math.inf, 1.0)
-           for n, value in enumerate([5e-324, -1e308, math.nan, -math.inf], start=2)]
-    odd_deltas = np.array([0.0, -0.0, math.nan, 2.0 ** -1074])
+    odd_values = [-0.0, 5e-324, -1e308, math.nan, -math.inf]
+    odd_rhos = [math.inf, 5e-324, math.nan, 1e308, 1.5]
+    odd = _site_chain_trace([odd_values[i % 5] for i in range(MAX_LEVEL_CAP)],
+                            [odd_rhos[i % 5] for i in range(MAX_LEVEL_CAP)])
+    assert odd[-1].site == DyadicPoint(1, MAX_LEVEL_CAP) and odd[-1].tau_level == MAX_LEVEL_CAP
+    assert {_bits(tr.m_n) for tr in odd} == {_bits(x) for x in (0.0, -1e308, -math.inf)}
+    odd_deltas = np.resize([0.0, -0.0, math.nan, 2.0 ** -1074], len(odd))
     out = tmp_path / "trace.csv"
-    # a Trace is formatted from its columns, a list of rows field by field
-    for rows, row_deltas in ((traces, deltas), (traces, None), (list(traces), deltas),
-                             (traces[:1], deltas[:1]), (traces[:1], None),
-                             (odd, odd_deltas), ([], None)):
-        write_trace_csv(rows, out, deltas=row_deltas)
-        assert out.read_bytes() == _csv_writer_bytes(rows, row_deltas)
+    # every column of a Trace is formatted at once, the reference row by row
+    for trace, trace_deltas in ((traces, deltas), (traces, None), (odd, odd_deltas),
+                                (odd, None), (_site_chain_trace([], []), None)):
+        write_trace_csv(trace, out, deltas=trace_deltas)
+        assert out.read_bytes() == _csv_writer_bytes(trace, trace_deltas)
+    # a one-row trace, the shortest a run returns
+    _, short = run(BrownianOracle(RngStream(19, 19)), MinimizerConfig(lam=1.0, max_steps=2))
+    for trace_deltas in (deltas[:1], None):
+        write_trace_csv(short, out, deltas=trace_deltas)
+        assert out.read_bytes() == _csv_writer_bytes(short, trace_deltas)
+
+
+def test_split_scores_reads_the_buffers_without_holding_them():
+    # the full rescore scores views of the skeleton's buffers: bit for bit
+    # the expression over its copied properties, and no view outlives the
+    # call, so the skeleton still grows right after it
+    oracle = BrownianOracle(RngStream(85, 0))
+    state, _ = run(oracle, MinimizerConfig(lam=1.0, max_steps=16_000))
+    skel = state.skeleton
+    values = skel.values
+    c = skel.min_value - search_offset(skel.tau, 1.0)
+    expected = skel.gap_lengths / ((values[:-1] - c) * (values[1:] - c))
+    scores = split_scores(state, 1.0)
+    assert scores.tobytes() == expected.tobytes()
+    step(state, oracle, MinimizerConfig(lam=1.0, max_steps=16_001))
+    assert state.n == 16_001 and len(scores) == 16_000
