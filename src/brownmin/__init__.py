@@ -56,7 +56,6 @@ from .minimizer import (
     select_split,
     split_scores,
     step,
-    undershoot_probabilities,
     write_trace_csv,
 )
 from .oracle import BrownianOracle, DeterministicOracle, PathOracle, grid_reference_min
@@ -112,7 +111,6 @@ __all__ = [
     "select_split",
     "split_scores",
     "step",
-    "undershoot_probabilities",
     "write_errors_csv",
     "write_trace_csv",
 ]

@@ -24,7 +24,7 @@ equidistant block's cumulative sums, discrete minima and bridge minima per
 grid size over one (rows, n) array.  Both return a (rows, n grid) array of
 errors, with a NaN row for a replication that exceeded the depth cap, and
 one loop aggregates the columns of either.  A block draws every row from
-that row's own streams, keyed for all rows at once
+that row's own streams, set in turn into one reused Philox
 (:func:`~brownmin.rng.gaussian_rows`), so a block reproduces
 :func:`run_replication` and :func:`run_equidistant` bit for bit, and the
 output bytes depend on neither the block size nor the worker count.
@@ -244,7 +244,10 @@ def estimate_lp_error(deltas: np.ndarray, p: float) -> tuple[float, float]:
     float (small errors at large p underflow), the L_p error is computed
     as D (mean (|delta| / D)^p)^(1/p) with D = max |delta|, or 0 if D is.
     The std uses ddof=1; it is 0 for a single sample and inf for powers
-    that overflow.
+    that overflow.  Where the mean squared deviation of the powers is not
+    a normal float, the std is D^p std((|delta| / D)^p).  Where D^p itself
+    is below the smallest normal float (at p = 60, D below about 7.5e-6),
+    that product is printed as the subnormal or 0 it rounds to.
     """
     deltas = np.asarray(deltas, dtype=float)
     if len(deltas) == 0:
@@ -252,19 +255,27 @@ def estimate_lp_error(deltas: np.ndarray, p: float) -> tuple[float, float]:
     if not (math.isfinite(p) and p >= 1.0):
         raise ValueError(f"p must be finite and >= 1, got {p}")
     sizes = np.abs(deltas)
+    largest = float(sizes.max())
     with np.errstate(over="ignore"):  # an overflow takes the scaled form below
         powers = sizes**p
     mean = np.mean(powers)
     if np.finfo(float).tiny <= mean < math.inf:
         lp = float(mean ** (1.0 / p))
     else:
-        largest = float(sizes.max())
         lp = largest if largest in (0.0, math.inf) else (
             largest * float(np.mean((sizes / largest) ** p)) ** (1.0 / p))
     if len(deltas) == 1:
         return lp, 0.0
     # overflowed powers spread infinitely, not by the NaN of inf - inf
-    return lp, math.inf if mean == math.inf else float(np.std(powers, ddof=1))
+    if mean == math.inf:
+        return lp, math.inf
+    with np.errstate(over="ignore"):  # squares that overflow take the scaled form
+        var = np.var(powers, ddof=1)
+    if np.finfo(float).tiny <= var < math.inf:
+        return lp, float(np.sqrt(var))
+    if largest == 0.0:
+        return lp, 0.0
+    return lp, largest**p * float(np.std((sizes / largest) ** p, ddof=1))
 
 
 def fit_rate(points: list[tuple[float, float]]) -> float:

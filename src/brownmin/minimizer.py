@@ -228,12 +228,6 @@ def select_split(scores: np.ndarray) -> int:
     return int(scores.argmax()) + 1
 
 
-def undershoot_probabilities(scores: np.ndarray) -> np.ndarray:
-    """Per-gap probability exp(-2/score) that the gap hides a value below
-    the current minimum minus the search offset."""
-    return np.exp(-2.0 / np.asarray(scores, dtype=float))
-
-
 def init_state(oracle: PathOracle, config: MinimizerConfig) -> tuple[MinimizerState, StepTrace]:
     """Run the nonadaptive start (sites 1 and 1/2) on a fresh oracle.
 
@@ -612,7 +606,7 @@ def check_score_bound(state: MinimizerState, config: MinimizerConfig) -> ScoreBo
     increment_bound = math.sqrt(config.lam * math.log(n) / 4.0)
     score_bound = 2.0 / (config.lam * math.log(1.0 / _GAP_LENGTHS[skel._tau_level]))
     rho_max = state.rho_max
-    applicable = state.max_scaled_increment <= increment_bound
+    applicable = bool(state.max_scaled_increment <= increment_bound)
     if applicable and rho_max > score_bound:
         raise RuntimeError(
             f"score bound violated at n={n}: rho_max={rho_max!r} > {score_bound!r} "

@@ -230,12 +230,10 @@ def test_stream_determinism():
 
 
 def test_stream_substreams_differ():
-    parent = RngStream(7, 1)
-    child = parent.substream(3)
-    assert child.key == (1, 3)
-    assert child.master_seed == 7
-    again = RngStream(7, 1).substream(3)
-    assert np.array_equal(child.gaussians(8), again.gaussians(8))
+    # a longer key path is another stream, and the stream keeps its address
+    child = RngStream(7, 1, 3)
+    assert child.master_seed == 7 and child.key == (1, 3)
+    assert np.array_equal(child.gaussians(8), RngStream(7, 1, 3).gaussians(8))
     assert not np.array_equal(RngStream(7, 1).gaussians(8), RngStream(7, 1, 3).gaussians(8))
 
 
@@ -263,3 +261,18 @@ def test_block_streams_equal_single_streams(master_seed):
         assert np.array_equal(normal_row, RngStream(master_seed, *key).gaussians(40))
         assert np.array_equal(uniform_row, RngStream(master_seed, *key).uniform_open_closed(40))
     assert gaussian_rows(master_seed, [], 40).shape == (0, 40)
+
+
+@pytest.mark.parametrize("master_seed, key, error", [
+    (1.5, (0,), TypeError), (1, (0, 1.5), TypeError),
+    (-1, (0,), ValueError), (1, (0, -1), ValueError),
+])
+def test_streams_refuse_non_integer_or_negative_seeds_and_keys(master_seed, key, error):
+    # one stream and a block coerce seeds and keys alike: a float is not
+    # truncated, a negative entry is not wrapped
+    with pytest.raises(error):
+        RngStream(master_seed, *key)
+    with pytest.raises(error):
+        gaussian_rows(master_seed, [(0,), key], 4)
+    with pytest.raises(error):
+        uniform_open_closed_rows(master_seed, [key], 4)

@@ -63,9 +63,13 @@ def test_large_p_experiment_csv_bytes(tmp_path):
     out = tmp_path / "experiment.csv"
     assert main(["experiment", "--lambdas", "1", "--p", "60", "--reps", "16",
                  "--n-grid", "256,1024,4096", "--seed", str(SEED), "--out", str(out)]) == 0
-    assert _sha256(out) == "f188ec74c99458ebc8fed45c6d269fc37c12647db3d61d0ede1433da7b1e826a"
+    assert _sha256(out) == "7b1a4768a097c3cea4d9f98a84bef5c0866b98997927f57dd4e2c2863f129665"
     with open(out, newline="") as fh:
-        cells = {int(row["n"]): float(row["lp_error"]) for row in csv.DictReader(fh)}
+        rows = {int(row["n"]): row for row in csv.DictReader(fh)}
+    cells = {n: float(row["lp_error"]) for n, row in rows.items()}
+    # at n = 1024 lp^60 is a normal float but its square is not; the
+    # direct std printed 0
+    assert float(rows[1024]["std_pth_power"]) > 0.0
     # a mean p-th power of lp^60 is below the smallest normal float, where
     # the direct form is not used
     assert 0.0 < cells[4096] and cells[4096] ** 60 < sys.float_info.min

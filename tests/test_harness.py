@@ -273,6 +273,12 @@ def test_estimate_lp_error_scales_powers_that_underflow_or_overflow():
     assert std == math.inf
     # a subnormal mean of the powers is scaled too
     assert estimate_lp_error(np.array([1e-160, -1e-160]), 2.0)[0] == 1e-160
+    # normal powers whose squared deviations underflow, or overflow, keep
+    # their std in the scaled form
+    _, std = estimate_lp_error(np.array([1e-2, 2e-2]), 100.0)
+    assert std == pytest.approx((0.02**100 - 0.01**100) / math.sqrt(2.0), rel=1e-14)
+    _, std = estimate_lp_error(np.array([1e100, 3e100]), 3.0)
+    assert std == pytest.approx((3e100**3 - 1e100**3) / math.sqrt(2.0), rel=1e-14)
 
 
 def test_lp_error_grows_with_p_where_the_powers_underflow():

@@ -31,7 +31,6 @@ from brownmin.minimizer import (
     select_split,
     split_scores,
     step,
-    undershoot_probabilities,
     write_trace_csv,
 )
 from brownmin.oracle import BrownianOracle, DeterministicOracle
@@ -421,19 +420,20 @@ def test_a_non_finite_split_is_recorded_before_the_refusal():
     assert DyadicPoint(3, 2) in skel.sites and np.isnan(skel.values).sum() == 1
 
 
-def test_undershoot_probabilities():
-    probs = undershoot_probabilities(np.array([1.4426950408889634, 2.0, 1e-9]))
-    assert probs[0] == pytest.approx(0.25, rel=1e-12)
-    assert probs[1] == pytest.approx(math.exp(-1.0), rel=1e-15)
-    assert probs[2] == 0.0  # exp(-2e9) underflows to zero
-    assert np.all((probs >= 0.0) & (probs < 1.0))
-
-
 def test_trace_undershoot_consistent():
     oracle = BrownianOracle(RngStream(4, 4))
     state, traces = run(oracle, MinimizerConfig(lam=1.0, max_steps=30))
     for tr in traces:
         assert tr.undershoot_max == pytest.approx(math.exp(-2.0 / tr.rho_max), rel=1e-15)
+        assert 0.0 <= tr.undershoot_max < 1.0
+
+
+def test_undershoot_probabilities():
+    # exp(-2/rho) at rho = 2/ln 4 and 2; at rho = 1e-9 it underflows to 0
+    probs = [tr.undershoot_max for tr in _site_chain_trace([0.0] * 3, [1.4426950408889634, 2.0, 1e-9])]
+    assert probs[0] == pytest.approx(0.25, rel=1e-12)
+    assert probs[1] == pytest.approx(math.exp(-1.0), rel=1e-15)
+    assert probs[2] == 0.0
 
 
 def test_check_score_bound_flat_example():
@@ -441,7 +441,7 @@ def test_check_score_bound_flat_example():
     config = MinimizerConfig(lam=1.0, max_steps=2)
     state, _ = init_state(oracle, config)
     record = check_score_bound(state, config)
-    assert record.applicable
+    assert record.applicable is True  # a Python bool, as ScoreBoundCheck declares
     assert record.max_scaled_increment == 0.0
     assert record.increment_bound == pytest.approx(math.sqrt(LN2 / 4.0), rel=1e-15)
     assert record.rho_max == pytest.approx(1.4426950408889634, rel=1e-12)
@@ -455,7 +455,7 @@ def test_check_score_bound_not_applicable():
     config = MinimizerConfig(lam=1.0, max_steps=2)
     state, _ = init_state(oracle, config)
     record = check_score_bound(state, config)
-    assert not record.applicable
+    assert record.applicable is False
     assert record.max_scaled_increment > record.increment_bound
 
 
