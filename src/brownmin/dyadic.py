@@ -77,16 +77,6 @@ ZERO = DyadicPoint(0, 0)
 ONE = DyadicPoint(1, 0)
 
 
-def _lift(left: DyadicPoint, right: DyadicPoint) -> tuple[int, int, int]:
-    """Numerators of both points at their common level."""
-    level = max(left.level, right.level)
-    return (
-        left.numerator << (level - left.level),
-        right.numerator << (level - right.level),
-        level,
-    )
-
-
 def midpoint(
     left: DyadicPoint, right: DyadicPoint, level_cap: int | None = DEFAULT_LEVEL_CAP
 ) -> DyadicPoint:
@@ -96,7 +86,10 @@ def midpoint(
     Raises ValueError on a malformed interval and DepthExceededError when
     the midpoint would be deeper than ``level_cap``.
     """
-    a, b, level = _lift(left, right)
+    # both numerators at their common level
+    level = max(left.level, right.level)
+    a = left.numerator << (level - left.level)
+    b = right.numerator << (level - right.level)
     d = b - a
     if d <= 0:
         raise ValueError(f"midpoint needs left < right, got {left} >= {right}")

@@ -23,11 +23,11 @@ its rows in one call; :func:`run_equidistant_replications` computes an
 equidistant block's cumulative sums, discrete minima and bridge minima per
 grid size over one (rows, n) array.  Both return a (rows, n grid) array of
 errors, with a NaN row for a replication that exceeded the depth cap, and
-one loop aggregates the columns of either.  A block draws every row from
-that row's own streams, set in turn into one reused Philox
-(:func:`~brownmin.rng.gaussian_rows`), so a block reproduces
-:func:`run_replication` and :func:`run_equidistant` bit for bit, and the
-output bytes depend on neither the block size nor the worker count.
+one loop aggregates the columns of either.  A block stacks one row per
+replication, drawn from that replication's :func:`path_stream` and
+:func:`true_min_stream`, so a block reproduces :func:`run_replication` and
+:func:`run_equidistant` bit for bit, and the output bytes depend on
+neither the block size nor the worker count.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .bridge import segment_minima
 from .dyadic import DEFAULT_LEVEL_CAP, MAX_LEVEL_CAP, Skeleton
 from .minimizer import MinimizerConfig, Trace, run, search_block
 from .oracle import BrownianOracle
-from .rng import RngStream, gaussian_rows, uniform_open_closed_rows
+from .rng import RngStream
 
 ADAPTIVE = "adaptive"
 EQUIDISTANT = "equidistant"
@@ -120,12 +120,6 @@ def true_min_stream(plan: ExperimentPlan, algorithm: str, replication: int) -> R
     return RngStream(plan.master_seed, _NS[algorithm], replication, _ROLE_TRUE_MIN)
 
 
-def _stream_keys(algorithm: str, replications, role: int) -> list[tuple[int, int, int]]:
-    # the keys of path_stream (role _ROLE_PATH) or true_min_stream
-    # (_ROLE_TRUE_MIN) for each replication, for the block draws of rng
-    return [(_NS[algorithm], replication, role) for replication in replications]
-
-
 def sample_path_minimum(values: np.ndarray, lengths: np.ndarray, stream: RngStream) -> float:
     """Exact draw of the path minimum given endpoint values per segment."""
     uniforms = stream.uniform_open_closed(len(lengths))
@@ -177,13 +171,14 @@ def run_replications(plan: ExperimentPlan, lam: float, replications) -> np.ndarr
     """
     replications = list(replications)
     n_max = max(plan.n_grid)
-    normals = gaussian_rows(plan.master_seed, _stream_keys(ADAPTIVE, replications, _ROLE_PATH),
-                            n_max)
+    # reshape gives a block of no rows the shape (0, n_max)
+    normals = np.array([path_stream(plan, ADAPTIVE, r).gaussians(n_max)
+                        for r in replications]).reshape(-1, n_max)
     block = search_block(normals, lam, plan.level_cap, plan.n_grid)
     # a capped row is dropped and draws nothing
     kept = np.flatnonzero(~block.capped)
-    keys = _stream_keys(ADAPTIVE, [replications[row] for row in kept], _ROLE_TRUE_MIN)
-    uniforms = uniform_open_closed_rows(plan.master_seed, keys, n_max)
+    uniforms = np.array([true_min_stream(plan, ADAPTIVE, replications[row])
+                         .uniform_open_closed(n_max) for row in kept]).reshape(-1, n_max)
     true_min = segment_minima(block.values[kept], block.lengths[kept], uniforms).min(axis=1)
     deltas = np.full(block.m_n.shape, math.nan)
     deltas[kept] = block.m_n[kept] - true_min[:, None]
@@ -229,10 +224,10 @@ def run_equidistant_replications(plan: ExperimentPlan, replications) -> np.ndarr
     """
     replications = list(replications)
     n_max = max(plan.n_grid)
-    normals = gaussian_rows(plan.master_seed,
-                            _stream_keys(EQUIDISTANT, replications, _ROLE_PATH), n_max)
-    uniforms = uniform_open_closed_rows(
-        plan.master_seed, _stream_keys(EQUIDISTANT, replications, _ROLE_TRUE_MIN), n_max)
+    normals = np.array([path_stream(plan, EQUIDISTANT, r).gaussians(n_max)
+                        for r in replications]).reshape(-1, n_max)
+    uniforms = np.array([true_min_stream(plan, EQUIDISTANT, r).uniform_open_closed(n_max)
+                         for r in replications]).reshape(-1, n_max)
     return np.stack([equidistant_error(normals[:, :n] * math.sqrt(1.0 / n), uniforms[:, :n])
                      for n in plan.n_grid], axis=-1)
 

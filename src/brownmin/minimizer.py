@@ -103,12 +103,11 @@ def search_offset(x: float, lam: float) -> float:
 
 @functools.lru_cache(maxsize=16)
 def _offset_table(lam: float) -> tuple[float, ...]:
-    # search_offset(2^-L, lam) at every level L, for a lam already checked,
-    # from Python floats (np.float64 scalars are several times slower) and
-    # math.log (np.log may miss by one ulp).  Every level, not only up to
-    # a cap: a state stepped under a lower cap than before can hold a
-    # smallest gap deeper than that cap
-    return tuple(math.sqrt(lam * x * math.log(1.0 / x)) for x in _GAP_LENGTHS)
+    # search_offset(2^-L, lam) at every level L, as Python floats
+    # (np.float64 scalars are several times slower).  Every level, not
+    # only up to a cap: a state stepped under a lower cap than before can
+    # hold a smallest gap deeper than that cap
+    return tuple(search_offset(x, lam) for x in _GAP_LENGTHS)
 
 
 @dataclass(frozen=True)
@@ -195,11 +194,6 @@ class MinimizerState:
         return np.array(self._scores)
 
 
-def _score_shift(skel: Skeleton, lam: float) -> float:
-    # scores use h_i = v_i - (M_n - off); this is the subtracted constant
-    return skel.min_value - search_offset(skel.tau, lam)
-
-
 def _score(length, left, right, c):
     # split score of a gap with endpoint values left and right, where
     # c = M_n - off; the one float expression behind every score
@@ -218,7 +212,7 @@ def split_scores(state: MinimizerState, lam: float) -> np.ndarray:
     # views of the buffers, gone with the call: the next split grows them
     values = np.frombuffer(skel._values)
     return _score(GAP_LENGTH.take(np.frombuffer(skel._gap_levels, np.int16)), values[:-1],
-                  values[1:], _score_shift(skel, lam))
+                  values[1:], skel._min_value - _offset_table(lam)[skel._tau_level])
 
 
 def select_split(scores: np.ndarray) -> int:

@@ -1,15 +1,22 @@
-"""The README's library example and every demo script run without error."""
+"""The README's library example and every demo script run without error,
+and every cross-reference in the package's docstrings names an object."""
 
+import ast
+import importlib
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+import brownmin
+
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+MODULES = sorted((ROOT / "src" / "brownmin").glob("*.py"))
 
 
 def test_readme_python_example_runs():
@@ -25,3 +32,26 @@ def test_demo_runs(demo, tmp_path):
     result = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+def _resolves(root, dotted: str) -> bool:
+    for name in dotted.split("."):
+        if not hasattr(root, name):
+            return False
+        root = getattr(root, name)
+    return True
+
+
+@pytest.mark.parametrize("source", MODULES, ids=[m.stem for m in MODULES])
+def test_docstring_references_resolve(source):
+    # a :func:, :class: or :meth: target, less any leading ~, names an
+    # object of brownmin, of its own module or of a class of that module
+    name = "brownmin" if source.stem == "__init__" else f"brownmin.{source.stem}"
+    module = importlib.import_module(name)
+    classes = [obj for obj in vars(module).values()
+               if isinstance(obj, type) and obj.__module__ == name]
+    roots = [SimpleNamespace(brownmin=brownmin), brownmin, module, *classes]
+    docstrings = [ast.get_docstring(node) or "" for node in ast.walk(ast.parse(source.read_text()))
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))]
+    targets = re.findall(r":(?:func|class|meth):`~?([^`]+)`", "\n".join(docstrings))
+    assert [t for t in targets if not any(_resolves(root, t) for root in roots)] == []

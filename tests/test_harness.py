@@ -222,6 +222,19 @@ def test_equidistant_blocks_equal_single_replications(monkeypatch):
     for rows in (5, 1):
         monkeypatch.setattr(harness, "_BLOCK_ENTRIES", 4 * 512 * rows)
         assert run_experiment(plan) == expected
+    assert run_equidistant_replications(plan, []).shape == (0, len(plan.n_grid))
+    # seeds of more entropy words than numpy's seed pool, and replication
+    # 2**32, a two-word key entry, in one block with one-word entries
+    reps = [0, 1, 2**32 - 1, 2**32]
+    for master_seed in (2**64 + 3, 2**130):
+        wide = small_plan(lambdas=(), algorithm=EQUIDISTANT, n_grid=(16, 64, 512),
+                          master_seed=master_seed)
+        deltas = run_equidistant_replications(wide, reps)
+        for r, row in zip(reps, deltas.tolist()):
+            for n, delta in zip(wide.n_grid, row):
+                assert run_equidistant(wide, n, r) == delta
+                assert delta == pytest.approx(_equidistant_reference(wide, n, r),
+                                              rel=1e-12, abs=0.0)
 
 
 def test_blocks_stay_within_the_memory_bound(monkeypatch):
@@ -424,6 +437,15 @@ def test_block_search_equals_per_path_search(lam, level_cap):
             blocks = [range(lo, min(lo + rows, 64)) for lo in range(0, 64, rows)]
             deltas = np.concatenate([run_replications(plan, lam, b) for b in blocks])
             assert np.array_equal(deltas, reference, equal_nan=True)
+    assert run_replications(plan, lam, []).shape == (0, len(n_grid))
+    # seeds of more entropy words than numpy's seed pool, and replication
+    # 2**32, a two-word key entry, in one block with one-word entries
+    reps = [0, 1, 2**32 - 1, 2**32]
+    for master_seed in (2**64 + 3, 2**130):
+        plan = small_plan(lambdas=(lam,), n_grid=(2, 16, 100), master_seed=master_seed,
+                          level_cap=level_cap)
+        reference = np.array([_replication_or_nan(plan, lam, r) for r in reps])
+        assert np.array_equal(run_replications(plan, lam, reps), reference, equal_nan=True)
 
 
 def test_block_search_breaks_ties_like_the_per_path_search():
