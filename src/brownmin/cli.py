@@ -71,7 +71,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated ascending list, e.g. 16,32,64")
         cmd.add_argument("--seed", type=int, required=True)
         cmd.add_argument("--out", required=True)
-        cmd.add_argument("--threads", type=_worker_count, default=1)
+        cmd.add_argument("--threads", type=_worker_count, default=1,
+                         help="worker processes, at most the usable CPUs (default 1); "
+                              "the output does not depend on it")
         cmd.add_argument("--level-cap", type=int, default=None)
 
     sug = sub.add_parser("suggest-lambda", help="offset parameter for a target rate")
@@ -154,6 +156,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except OSError as exc:
         print(f"brownmin: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"brownmin: out of memory: {exc}", file=sys.stderr)
         return 3
 
 

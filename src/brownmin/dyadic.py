@@ -44,9 +44,11 @@ class DyadicPoint:
     def __init__(self, numerator: int, level: int):
         if level < 0 or numerator < 0 or numerator > (1 << level):
             raise ValueError(f"not a dyadic point in [0, 1]: {numerator}/2^{level}")
-        while numerator & 1 == 0 and level > 0:
-            numerator >>= 1
-            level -= 1
+        # strip every trailing zero bit in one shift, at most level of them
+        # since numerator <= 2^level; zero becomes 0/2^0
+        shift = (numerator & -numerator).bit_length() - 1 if numerator else level
+        numerator >>= shift
+        level -= shift
         object.__setattr__(self, "numerator", numerator)
         object.__setattr__(self, "level", level)
 

@@ -310,10 +310,10 @@ def _usable_cpus() -> int:
 
 def _map_tasks(fn, workers: int, *columns):
     # [fn(*task) for task in zip(*columns)] over at most ``workers``
-    # processes, and never more than there are tasks or usable CPUs: the
-    # pool may start all its processes at the first submit
+    # processes, and never more than there are tasks: the pool may start
+    # all its processes at the first submit
     tasks = len(columns[0])
-    workers = min(workers, tasks, _usable_cpus())
+    workers = min(workers, tasks)
     if workers <= 1:
         return list(map(fn, *columns))
     # imported only where a pool opens: the pool machinery takes about a
@@ -343,31 +343,24 @@ def run_experiments(plans, workers: int = 1) -> list[ErrorEstimate]:
     plan order, one per (lambda, n) cell of each.
 
     Work items are blocks of contiguous replications, one list for every
-    plan mapped over at most ``workers`` processes, so a call opens at
-    most one process pool.  Each lambda's replications, or the equidistant
-    ones, are split into one block per worker, unless a block of
-    ``_BLOCK_ENTRIES / max(n_grid)`` adaptive rows or a quarter as many
-    equidistant rows is smaller; an equidistant block covers the whole n
-    grid.  Output does not depend on the worker count.  Replications that
-    exceed the bisection depth cap are dropped and counted in the
+    plan mapped over at most min(``workers``, usable CPUs) processes, so a
+    call opens at most one process pool.  That count is decided once:
+    each lambda's replications, or the equidistant ones, are split into
+    one block per worker, unless a block of ``_BLOCK_ENTRIES //
+    max(n_grid)`` rows is smaller; an equidistant block covers the whole
+    n grid.  Output does not depend on the worker count.  Replications
+    that exceed the bisection depth cap are dropped and counted in the
     estimates they would have contributed to.  Fewer than one worker
     raises ValueError.
     """
     if operator.index(workers) < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    # more processes than CPUs only repeat every lockstep step for fewer rows
+    workers = min(workers, _usable_cpus())
     cells, tasks = [], []
     for plan in plans:
-        if plan.algorithm == ADAPTIVE:
-            lambdas = plan.lambdas
-            blocks = _blocks(plan, workers, _BLOCK_ENTRIES // max(plan.n_grid))
-        else:
-            # an equidistant row holds its normals, uniforms, path values
-            # and the temporaries of segment_minima at once, about four
-            # arrays of max(n_grid) entries, so a block takes a quarter of
-            # the adaptive rows: as many rows as an adaptive block needed
-            # as much memory as the search and raised a compare run's peak
-            lambdas = (None,)
-            blocks = _blocks(plan, workers, _BLOCK_ENTRIES // (4 * max(plan.n_grid)))
+        lambdas = plan.lambdas if plan.algorithm == ADAPTIVE else (None,)
+        blocks = _blocks(plan, workers)
         cells += [(plan, lam, len(blocks)) for lam in lambdas]
         tasks += [(plan, lam, block) for lam in lambdas for block in blocks]
     if not tasks:
@@ -388,10 +381,11 @@ def run_experiments(plans, workers: int = 1) -> list[ErrorEstimate]:
     return estimates
 
 
-def _blocks(plan: ExperimentPlan, workers: int, rows: int) -> list[range]:
-    # contiguous blocks of at most ``rows`` replications (at least one),
-    # and one per worker when that is fewer
-    rows = min(math.ceil(plan.replications / workers), max(1, rows))
+def _blocks(plan: ExperimentPlan, workers: int) -> list[range]:
+    # contiguous blocks of at most _BLOCK_ENTRIES // max(n_grid) rows (at
+    # least one), and one per worker when that is fewer
+    rows = min(math.ceil(plan.replications / workers),
+               max(1, _BLOCK_ENTRIES // max(plan.n_grid)))
     return [range(lo, min(lo + rows, plan.replications))
             for lo in range(0, plan.replications, rows)]
 

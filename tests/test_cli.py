@@ -203,3 +203,22 @@ def test_non_finite_score_is_a_runtime_error(monkeypatch, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("brownmin: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, allocator", [
+    (SIMULATE, "run"),
+    (["compare", "--lambdas", "1", "--p", "2", "--reps", "2", "--n-grid", "4,8", "--seed", "9"],
+     "run_equidistant_replications"),
+], ids=["simulate", "compare"])
+def test_out_of_memory_is_a_runtime_error(argv, allocator, monkeypatch, tmp_path, capsys):
+    # numpy refuses an allocation with a MemoryError subclass; a real one
+    # could instead be granted by overcommit and then fill the memory
+    def refuse(*args):
+        raise MemoryError("Unable to allocate 745. GiB for an array")
+
+    monkeypatch.setattr(harness, allocator, refuse)
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("brownmin: out of memory: ") and err.count("\n") == 1
+    assert not out.exists()

@@ -75,6 +75,16 @@ def test_canonical_reduction():
     assert str(ONE) == "1/2^0"
 
 
+def test_canonical_reduction_of_deep_points():
+    # every trailing zero bit goes in one shift, not one pass per bit
+    # (which took seconds at these depths)
+    for point, endpoint in ((DyadicPoint(1 << 10**6, 10**6), ONE),
+                            (DyadicPoint(0, 10**7), ZERO)):
+        assert point == endpoint and hash(point) == hash(endpoint)
+        assert (point.numerator, point.level) == (endpoint.numerator, endpoint.level)
+    assert DyadicPoint(3 << 500, 600) == DyadicPoint(3, 100)
+
+
 def test_validation():
     with pytest.raises(ValueError):
         DyadicPoint(-1, 2)

@@ -8,7 +8,9 @@ that alters them on purpose must say so and pin the new hashes.
 
 import csv
 import hashlib
+import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +48,10 @@ def test_compare_csv_bytes(tmp_path, threads):
     assert _sha256(out) == "caf63f8548addaf800c6edbf33a1622b4f949e74ce4755c3074a4486537beed7"
 
 
+# SHA-256 of the compare CSV of the benchmark's mc-compare plan
+BENCH_COMPARE_SHA256 = "930f0fa1a13a86436fe68a95d75e6143d3e519c354d9a009c6749161605b6009"
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_bench_compare_csv_bytes(tmp_path, threads):
     # the benchmark's mc-compare plan, hash from bench/golden.json: several
@@ -54,7 +60,16 @@ def test_bench_compare_csv_bytes(tmp_path, threads):
     assert main(["compare", "--lambdas", "1", "--p", "2", "--reps", "128",
                  "--n-grid", "16,32,64,128,256,512", "--seed", str(SEED), "--out", str(out),
                  "--threads", threads]) == 0
-    assert _sha256(out) == "930f0fa1a13a86436fe68a95d75e6143d3e519c354d9a009c6749161605b6009"
+    assert _sha256(out) == BENCH_COMPARE_SHA256
+
+
+def test_bench_goldens_equal_these_goldens():
+    # the benchmark pins the same mc-compare and deep-path bytes, so a
+    # regenerated hash must change in both places
+    golden = json.loads((Path(__file__).parents[1] / "bench" / "golden.json").read_text())
+    assert golden["seed"] == SEED
+    assert golden["sha256"]["mc-compare"] == BENCH_COMPARE_SHA256
+    assert golden["sha256"]["deep-path"] == SIMULATE_SHA256[16000]
 
 
 def test_large_p_experiment_csv_bytes(tmp_path):

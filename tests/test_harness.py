@@ -1,5 +1,7 @@
 import concurrent.futures
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -211,16 +213,16 @@ def test_equidistant_blocks_equal_single_replications(monkeypatch):
     # run_equidistant is the one-row, one-size case
     for n, delta in zip(plan.n_grid, deltas[3].tolist()):
         assert run_equidistant(plan, n, 3) == delta
-    # run_experiment at the default block size (more than one block), on 1
-    # and 2 workers, and at blocks of 5 rows and of 1
+    # run_experiment at the default block size (one block), on 1 and 2
+    # workers, and at blocks of 5 rows and of 1
     expected = [ErrorEstimate(EQUIDISTANT, None, plan.p, n, len(reps),
                               *estimate_lp_error(column.copy(), plan.p))
                 for n, column in zip(plan.n_grid, deltas.T)]
-    assert harness._BLOCK_ENTRIES // (4 * 512) < len(reps)
+    assert harness._BLOCK_ENTRIES // 512 >= len(reps)
     assert run_experiment(plan, workers=1) == expected
     assert run_experiment(plan, workers=2) == expected
     for rows in (5, 1):
-        monkeypatch.setattr(harness, "_BLOCK_ENTRIES", 4 * 512 * rows)
+        monkeypatch.setattr(harness, "_BLOCK_ENTRIES", 512 * rows)
         assert run_experiment(plan) == expected
     assert run_equidistant_replications(plan, []).shape == (0, len(plan.n_grid))
     # seeds of more entropy words than numpy's seed pool, and replication
@@ -237,25 +239,62 @@ def test_equidistant_blocks_equal_single_replications(monkeypatch):
                                               rel=1e-12, abs=0.0)
 
 
-def test_blocks_stay_within_the_memory_bound(monkeypatch):
-    # record the work items run_experiment maps, then run them
-    mapped = []
+@pytest.fixture
+def mapped(monkeypatch):
+    """The work items and worker count of each map run_experiment makes,
+    as (algorithms, blocks, workers); the items still run."""
+    maps = []
     map_tasks = harness._map_tasks
 
     def recording(fn, workers, *columns):
-        mapped.append(({plan.algorithm for plan in columns[0]}, list(columns[-1])))
+        maps.append(({plan.algorithm for plan in columns[0]}, list(columns[-1]), workers))
         return map_tasks(fn, workers, *columns)
 
     monkeypatch.setattr(harness, "_map_tasks", recording)
+    return maps
+
+
+def test_blocks_stay_within_the_memory_bound(mapped):
     for algorithm in (ADAPTIVE, EQUIDISTANT):
         run_experiment(small_plan(algorithm=algorithm, n_grid=(16, 512), replications=300))
-    (adaptive_kind, adaptive), (equidistant_kind, equidistant) = mapped
+    (adaptive_kind, adaptive, _), (equidistant_kind, equidistant, _) = mapped
     assert adaptive_kind == {ADAPTIVE} and equidistant_kind == {EQUIDISTANT}
-    for blocks, entries in ((adaptive, harness._BLOCK_ENTRIES),
-                            (equidistant, harness._BLOCK_ENTRIES // 4)):
+    # one size rule for both algorithms
+    for blocks in (adaptive, equidistant):
         assert len(blocks) > 1
         assert [r for block in blocks for r in block] == list(range(300))
-        assert all(len(block) * 512 <= entries for block in blocks)
+        assert all(len(block) * 512 <= harness._BLOCK_ENTRIES for block in blocks)
+
+
+def _traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_an_equidistant_block_needs_no_more_memory_than_an_adaptive_one():
+    # what lets both algorithms share one block size: the same rows and
+    # grid peak lower for the equidistant rule than for the search
+    adaptive = small_plan(n_grid=(16, 256), replications=harness._BLOCK_ENTRIES // 256)
+    equidistant = replace(adaptive, lambdas=(), algorithm=EQUIDISTANT)
+    (block,) = harness._blocks(adaptive, 1)
+    assert harness._blocks(equidistant, 1) == [block] and len(block) == 256
+    assert (_traced_peak(run_replications, adaptive, 1.0, block)
+            >= _traced_peak(run_equidistant_replications, equidistant, block))
+
+
+def test_workers_beyond_the_usable_cpus_split_nothing(mapped, monkeypatch):
+    # the worker count is capped once, before the replications are split:
+    # asking for 64 workers on one CPU maps one block per lambda to one
+    # worker, not 16 blocks of one row
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    plan = small_plan(lambdas=(1.0, 2.0), replications=16)
+    assert harness.run_experiments((plan,), workers=64) == run_experiment(plan)
+    _, blocks, workers = mapped[0]
+    assert blocks == [range(16), range(16)] and workers == 1
 
 
 def test_estimate_lp_error_examples():

@@ -345,6 +345,30 @@ def test_run_trace_equals_stepped_rows(make, lam, steps):
     assert np.array_equal(trace.m_n, [row.m_n for row in rows])
 
 
+@pytest.mark.parametrize("make, lam", [
+    (lambda: BrownianOracle(RngStream(83, 1)), 1.0),
+    (lambda: BrownianOracle(RngStream(83, 8)), 8.0),
+    (lambda: DeterministicOracle(lambda t: 0.0), 1.0),
+], ids=["brownian-lam1", "brownian-lam8", "flat"])
+def test_search_grows_the_skeleton_as_skeleton_split_does(make, lam):
+    # the search keeps an inline copy of Skeleton.split: replaying its
+    # split column through Skeleton.split on a fresh skeleton must give
+    # the same skeleton; every split of the flat path is a tie
+    state, trace = run(make(), MinimizerConfig(lam=lam, max_steps=2000))
+    searched = state.skeleton
+    replayed = Skeleton()
+    replayed.insert(ONE, searched.values[-1])
+    for row in trace:
+        replayed.split(row.split_index, row.value)
+    assert replayed.values.tobytes() == searched.values.tobytes()
+    assert np.array_equal(replayed.gap_levels, searched.gap_levels)
+    assert replayed._gap_left == searched._gap_left
+    assert replayed._site_nums == searched._site_nums
+    assert replayed._site_levels == searched._site_levels
+    assert _bits(replayed.min_value) == _bits(searched.min_value)
+    assert replayed.tau_level == searched.tau_level
+
+
 def test_trace_reads_as_a_sequence_of_rows():
     config = MinimizerConfig(lam=1.0, max_steps=40)
     _, trace = run(BrownianOracle(RngStream(82, 0)), config)
