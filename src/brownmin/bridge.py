@@ -32,12 +32,6 @@ class BridgeSegment:
             raise ValueError(f"segment length must be positive and finite, got {self.T}")
 
 
-def _interior(a: float, b: float, T: float, s: float, z: float) -> float:
-    # s / T * (T - s) stays positive at every level where T does; the
-    # product s * (T - s) underflows to 0 once T is about 2^-537
-    return a + (s / T) * (b - a) + math.sqrt(s / T * (T - s)) * z
-
-
 def interior_sample(seg: BridgeSegment, s: float, z: float) -> float:
     """Value of the bridge at offset s in (0, T), driven by a N(0,1) input z.
 
@@ -47,7 +41,10 @@ def interior_sample(seg: BridgeSegment, s: float, z: float) -> float:
     """
     if not 0.0 < s < seg.T:
         raise ValueError(f"offset {s} outside (0, {seg.T})")
-    return _interior(seg.a, seg.b, seg.T, s, z)
+    a, b, T = seg.a, seg.b, seg.T
+    # s / T * (T - s) stays positive at every level where T does; the
+    # product s * (T - s) underflows to 0 once T is about 2^-537
+    return a + (s / T) * (b - a) + math.sqrt(s / T * (T - s)) * z
 
 
 def bridge_min_cdf(seg: BridgeSegment, y: float) -> float:

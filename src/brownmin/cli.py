@@ -14,26 +14,21 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .dyadic import DepthExceededError
+from .dyadic import DEFAULT_LEVEL_CAP, DepthExceededError
 from .harness import (
     ADAPTIVE,
     EQUIDISTANT,
     ExperimentPlan,
     _replicate,
     lambda_suggestion,
-    run_experiment,
     run_experiments,
     write_errors_csv,
 )
 from .minimizer import write_trace_csv
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip()]
-
-
-def _parse_ints(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip()]
+def _parse_list(text: str, kind) -> list:
+    return [kind(x) for x in text.split(",") if x.strip()]
 
 
 def _worker_count(text: str) -> int:
@@ -55,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--steps", type=int, required=True)
     sim.add_argument("--seed", type=int, required=True)
     sim.add_argument("--out", required=True)
-    sim.add_argument("--level-cap", type=int, default=None)
+    sim.add_argument("--level-cap", type=int, default=DEFAULT_LEVEL_CAP)
 
     helps = {
         "experiment": "estimate L_p error curves over lambdas and an n grid",
@@ -74,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--threads", type=_worker_count, default=1,
                          help="worker processes, at most the usable CPUs (default 1); "
                               "the output does not depend on it")
-        cmd.add_argument("--level-cap", type=int, default=None)
+        cmd.add_argument("--level-cap", type=int, default=DEFAULT_LEVEL_CAP)
 
     sug = sub.add_parser("suggest-lambda", help="offset parameter for a target rate")
     sug.add_argument("--r", type=float, required=True)
@@ -83,16 +78,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _level_cap(args) -> dict:
-    return {} if args.level_cap is None else {"level_cap": args.level_cap}
-
-
 def _simulate(args, parser) -> int:
     # replication 0 of a plan that checks every input of the search
     try:
         plan = ExperimentPlan(
             lambdas=(args.lam,), n_grid=(args.steps,), p=2.0, replications=1,
-            master_seed=args.seed, **_level_cap(args),
+            master_seed=args.seed, level_cap=args.level_cap,
         )
     except ValueError as exc:
         parser.error(str(exc))
@@ -101,30 +92,18 @@ def _simulate(args, parser) -> int:
     return 0
 
 
-def _plan_from_args(args, parser, algorithm: str) -> ExperimentPlan:
+def _estimate(args, parser, algorithms) -> int:
+    # one plan per algorithm, all run as one work list
     try:
-        return ExperimentPlan(
-            lambdas=tuple(_parse_floats(args.lambdas)),
-            n_grid=tuple(_parse_ints(args.n_grid)), p=args.p,
+        plans = [ExperimentPlan(
+            lambdas=tuple(_parse_list(args.lambdas, float)),
+            n_grid=tuple(_parse_list(args.n_grid, int)), p=args.p,
             replications=args.reps, master_seed=args.seed, algorithm=algorithm,
-            **_level_cap(args),
-        )
+            level_cap=args.level_cap,
+        ) for algorithm in algorithms]
     except ValueError as exc:
         parser.error(str(exc))
-
-
-def _experiment(args, parser) -> int:
-    plan = _plan_from_args(args, parser, ADAPTIVE)
-    estimates = run_experiment(plan, workers=args.threads)
-    write_errors_csv(estimates, args.out)
-    return 0
-
-
-def _compare(args, parser) -> int:
-    adaptive_plan = _plan_from_args(args, parser, ADAPTIVE)
-    equidistant_plan = _plan_from_args(args, parser, EQUIDISTANT)
-    estimates = run_experiments((adaptive_plan, equidistant_plan), workers=args.threads)
-    write_errors_csv(estimates, args.out)
+    write_errors_csv(run_experiments(plans, workers=args.threads), args.out)
     return 0
 
 
@@ -144,9 +123,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "simulate":
             return _simulate(args, parser)
         if args.command == "experiment":
-            return _experiment(args, parser)
+            return _estimate(args, parser, (ADAPTIVE,))
         if args.command == "compare":
-            return _compare(args, parser)
+            return _estimate(args, parser, (ADAPTIVE, EQUIDISTANT))
         return _suggest(args, parser)
     except DepthExceededError as exc:
         print(f"brownmin: bisection depth exceeded: {exc}", file=sys.stderr)

@@ -42,7 +42,9 @@ class DyadicPoint:
     __slots__ = ("numerator", "level")
 
     def __init__(self, numerator: int, level: int):
-        if level < 0 or numerator < 0 or numerator > (1 << level):
+        # numerator <= 2^level, building 2^level only for a numerator as long
+        if level < 0 or numerator < 0 or (numerator.bit_length() > level
+                                          and numerator != 1 << level):
             raise ValueError(f"not a dyadic point in [0, 1]: {numerator}/2^{level}")
         # strip every trailing zero bit in one shift, at most level of them
         # since numerator <= 2^level; zero becomes 0/2^0

@@ -295,10 +295,13 @@ def fit_rate(points: list[tuple[float, float]]) -> float:
 
 def lambda_suggestion(r: float, p: float) -> float:
     """Offset parameter large enough for convergence order r in L_p:
-    144 * (1 + p * r)."""
+    144 * (1 + p * r), refused where that overflows."""
     if not all(math.isfinite(x) and x >= 1.0 for x in (r, p)):
         raise ValueError(f"r and p must both be finite and >= 1, got {r} and {p}")
-    return 144.0 * (1.0 + p * r)
+    lam = 144.0 * (1.0 + p * r)
+    if not math.isfinite(lam):
+        raise ValueError(f"144 * (1 + p * r) overflows for r = {r} and p = {p}")
+    return lam
 
 
 def _usable_cpus() -> int:
@@ -310,19 +313,18 @@ def _usable_cpus() -> int:
 
 def _map_tasks(fn, workers: int, *columns):
     # [fn(*task) for task in zip(*columns)] over at most ``workers``
-    # processes, and never more than there are tasks: the pool may start
-    # all its processes at the first submit
-    tasks = len(columns[0])
-    workers = min(workers, tasks)
+    # processes, one task (a whole block) per dispatch, and never more
+    # processes than there are tasks: the pool may start all of them at
+    # the first submit
+    workers = min(workers, len(columns[0]))
     if workers <= 1:
         return list(map(fn, *columns))
     # imported only where a pool opens: the pool machinery takes about a
     # tenth of the time that importing the command line takes
     from concurrent.futures import ProcessPoolExecutor
 
-    chunk = max(1, tasks // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, *columns, chunksize=chunk))
+        return list(pool.map(fn, *columns))
 
 
 def _run_block(plan: ExperimentPlan, lam: float | None, replications: range) -> np.ndarray:

@@ -22,7 +22,8 @@ recomputation; one argmax per step gives both the largest score of the
 new state and the gap the next step splits.  The scores sit in an
 ``array.array`` in site order, like the skeleton's values, so the two
 new scores are one store and one insert.  A largest score that is NaN or
-infinite (a path with non-finite values) raises FloatingPointError:
+infinite (a path with non-finite values, or an offset below half an ulp
+of M_n) raises FloatingPointError, with no NumPy warning before it:
 argmax returns the first NaN, so checking the chosen score covers the
 whole array.
 
@@ -185,10 +186,6 @@ class MinimizerState:
         return self.skeleton.min_value
 
     @property
-    def tau(self) -> float:
-        return self.skeleton.tau
-
-    @property
     def scores(self) -> np.ndarray:
         """Copy of the split scores, one per gap."""
         return np.array(self._scores)
@@ -200,11 +197,13 @@ def _score(length, left, right, c):
     return length / ((left - c) * (right - c))
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def split_scores(state: MinimizerState, lam: float) -> np.ndarray:
     """Recompute all split scores of the current skeleton from scratch.
 
     Requires n >= 2 so that the smallest gap is below 1 and the offset is
-    strictly positive; every score is then finite and positive.
+    strictly positive; every score is then positive, and finite unless
+    the offset is below half an ulp of M_n.
     """
     skel = state.skeleton
     if skel.n < 2:
@@ -437,6 +436,7 @@ class BlockResult(NamedTuple):
 _FIRST_WIDTH = 32
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def search_block(normals: np.ndarray, lam: float, level_cap: int,
                  record) -> BlockResult:
     """Run one search per row of ``normals`` (R, N) in lockstep.

@@ -2,6 +2,7 @@ import csv
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from brownmin import harness
 from brownmin.cli import main
+from brownmin.oracle import DeterministicOracle
 
 
 def read_rows(path):
@@ -164,12 +166,13 @@ def _with(argv, flag, value):
     SIMULATE + ["--level-cap", "1024"],
     ["suggest-lambda", "--r", "nan", "--p", "1"],
     ["suggest-lambda", "--r", "1", "--p", "inf"],
+    ["suggest-lambda", "--r", "1e308", "--p", "1e308"],  # lambda overflows
     EXPERIMENT + ["--threads", "0"],
     EXPERIMENT + ["--threads", "-1"],
 ], ids=["simulate-lambda-nan", "simulate-lambda-inf", "lambdas-nan", "lambdas-not-a-number",
         "p-inf", "p-nan", "negative-seed", "simulate-level-cap-0", "simulate-level-cap-1",
         "experiment-level-cap-1", "simulate-level-cap-1024", "suggest-r-nan", "suggest-p-inf",
-        "threads-0", "threads-negative"])
+        "suggest-overflow", "threads-0", "threads-negative"])
 def test_invalid_input_is_a_usage_error(argv, tmp_path):
     out = tmp_path / "x.csv"
     if argv[0] != "suggest-lambda":
@@ -193,15 +196,18 @@ def test_unwritable_output_is_a_runtime_error(argv, tmp_path, capsys):
 
 
 def test_non_finite_score_is_a_runtime_error(monkeypatch, tmp_path, capsys):
-    def refuse(oracle, config):
-        raise FloatingPointError("split score nan of gap 1 at n=2")
-
-    # simulate runs the search through the harness's replication
-    monkeypatch.setattr(harness, "run", refuse)
+    # simulate searches the harness's oracle; past f(0) this one is -1e20,
+    # so a gap at the minimum scores length / 0.  The refusal is the one
+    # line on stderr, also where warnings are errors
+    monkeypatch.setattr(harness, "BrownianOracle", lambda stream, capacity: DeterministicOracle(
+        lambda t: -1e20 if t > 0 else 0.0))
     out = tmp_path / "x.csv"
-    assert main(SIMULATE + ["--out", str(out)]) == 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(SIMULATE + ["--out", str(out)]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("brownmin: ") and err.count("\n") == 1
+    assert err.startswith("brownmin: non-finite split score: split score inf")
+    assert err.count("\n") == 1
     assert not out.exists()
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -92,6 +93,28 @@ def test_validation():
         DyadicPoint(5, 2)  # 5/4 > 1
     with pytest.raises(ValueError):
         DyadicPoint(1, -1)
+    with pytest.raises(ValueError):
+        DyadicPoint(3, 1)
+    with pytest.raises(ValueError):
+        DyadicPoint(2 ** (10**6) + 1, 10**6)  # one past 1 at a deep level
+
+
+def test_range_check_does_not_build_the_power_of_two():
+    # 2^level at level 10^9 alone would be a 125 MB integer
+    tracemalloc.start()
+    try:
+        assert DyadicPoint(3, 10**9).level == 10**9
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_points_are_immutable():
+    point = DyadicPoint(3, 2)
+    with pytest.raises(AttributeError, match="immutable"):
+        point.level = 3
+    assert (point.numerator, point.level) == (3, 2)
 
 
 def test_float_conversion_exact_below_53_bits():
@@ -136,6 +159,11 @@ def test_skeleton_insert_examples():
     assert [str(s) for s in skel.sites] == ["0/2^0", "1/2^2", "1/2^1", "1/2^0"]
     assert skel.min_value == -0.5
     assert skel.tau == 0.25
+
+
+def test_a_fresh_skeleton_has_no_smallest_gap():
+    with pytest.raises(ValueError, match="no gaps yet"):
+        Skeleton().tau_level
 
 
 def test_skeleton_insert_returns_index():

@@ -377,6 +377,9 @@ def test_lambda_suggestion():
         lambda_suggestion(math.nan, 1.0)
     with pytest.raises(ValueError):
         lambda_suggestion(1.0, math.inf)
+    # finite inputs whose lambda overflows: every consumer of lambda refuses inf
+    with pytest.raises(ValueError, match="overflows"):
+        lambda_suggestion(1e308, 1e308)
 
 
 def test_run_experiment_shape_and_worker_independence():
@@ -418,6 +421,11 @@ def pool_sizes(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 4)
     return sizes
+
+
+def test_no_plans_map_nothing(mapped):
+    assert harness.run_experiments(()) == []
+    assert mapped == []
 
 
 def test_pool_size_is_bounded_by_tasks_and_cpus(pool_sizes):

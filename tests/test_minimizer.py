@@ -3,6 +3,7 @@ import copy
 import csv
 import io
 import math
+import warnings
 from array import array
 from fractions import Fraction
 
@@ -21,12 +22,14 @@ from brownmin.dyadic import (
 )
 from brownmin.minimizer import (
     MinimizerConfig,
+    MinimizerState,
     StepTrace,
     Trace,
     _offset_table,
     check_score_bound,
     init_state,
     run,
+    search_block,
     search_offset,
     select_split,
     split_scores,
@@ -516,6 +519,41 @@ def test_non_finite_path_is_refused():
     with pytest.raises(FloatingPointError):
         run(oracle, MinimizerConfig(lam=1.0, max_steps=10))
     assert oracle.skeleton.n == 2
+
+
+def test_an_infinite_score_is_refused_without_numpy_warnings():
+    # past f(0) every value is -1e20, so the offset is below half an ulp of
+    # M_n and a gap at the minimum scores length / 0: the search's refusal
+    # is the one report, also where warnings are errors
+    flat = DeterministicOracle(lambda t: -1e20 if t > 0 else 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="split score inf"):
+            run(flat, MinimizerConfig(lam=1.0, max_steps=10))
+        with pytest.raises(FloatingPointError, match="non-finite split score"):
+            search_block(np.array([[-1e20] + [0.0] * 9]), 1.0, DEFAULT_LEVEL_CAP, (10,))
+
+
+def _first_value_only(endpoint):
+    # a state on a skeleton that holds only f(1)
+    skel = Skeleton()
+    skel.insert(ONE, endpoint)
+    return MinimizerState(skel)
+
+
+def test_scores_and_the_bound_need_two_evaluations():
+    state = _first_value_only(0.3)
+    with pytest.raises(ValueError, match="from n = 2 on"):
+        split_scores(state, 1.0)
+    with pytest.raises(ValueError, match="needs n >= 2"):
+        check_score_bound(state, MinimizerConfig(lam=1.0, max_steps=2))
+
+
+def test_init_state_needs_a_fresh_oracle():
+    oracle = DeterministicOracle(lambda t: t)
+    oracle.evaluate(ONE)
+    with pytest.raises(ValueError, match="must be fresh"):
+        init_state(oracle, MinimizerConfig(lam=1.0, max_steps=2))
 
 
 def test_level_cap_propagates():

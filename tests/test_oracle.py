@@ -267,5 +267,5 @@ def test_grid_reference_min_examples():
     flat = DeterministicOracle(lambda t: 0.0)
     assert grid_reference_min(flat, 10) == 0.0
     assert grid_reference_min(quad, 10**6) == pytest.approx(-1.0 / 9.0, abs=1e-12)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least 2"):
         grid_reference_min(flat, 1)
