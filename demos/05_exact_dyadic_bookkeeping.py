@@ -8,7 +8,6 @@ diagnostic cross-checks the search at every step: whenever the observed
 increments stay moderate, the largest split score obeys an a priori bound.
 """
 from brownmin import (
-    ONE,
     ZERO,
     BrownianOracle,
     DepthExceededError,
@@ -27,7 +26,7 @@ print("=== Exact sites at extreme depth ===")
 # a skeleton grows only by splitting a gap at its midpoint; the values
 # here are placeholders, the sites are what matters
 skel = Skeleton()
-skel.insert(ONE, 0.0)
+skel.insert(0.0)
 skel.split(1, 0.0)  # the site 1/2
 for _ in range(79):
     skel.split(2, 0.0)  # halve the gap just right of 1/2

@@ -37,7 +37,6 @@ from .harness import (
     run_experiments,
     run_replication,
     run_replications,
-    sample_path_minimum,
     sample_true_min,
     write_errors_csv,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "run_experiments",
     "run_replication",
     "run_replications",
-    "sample_path_minimum",
     "sample_true_min",
     "search_block",
     "search_offset",

@@ -8,6 +8,7 @@ and output only.
 
 from __future__ import annotations
 
+import operator
 from array import array
 
 import numpy as np
@@ -37,15 +38,21 @@ class DyadicPoint:
 
     Canonical means the numerator is odd, except for the endpoints 0/2^0
     and 1/2^0.  Construction reduces trailing zero bits automatically.
+    Both arguments must be integers: a float raises TypeError.
     """
 
     __slots__ = ("numerator", "level")
 
     def __init__(self, numerator: int, level: int):
+        numerator, level = operator.index(numerator), operator.index(level)
         # numerator <= 2^level, building 2^level only for a numerator as long
         if level < 0 or numerator < 0 or (numerator.bit_length() > level
                                           and numerator != 1 << level):
-            raise ValueError(f"not a dyadic point in [0, 1]: {numerator}/2^{level}")
+            # str() refuses an int of more than 4 300 digits (by default),
+            # so a long numerator is shown by its bit length
+            bits = numerator.bit_length()
+            shown = numerator if bits <= 64 else f"({bits}-bit numerator)"
+            raise ValueError(f"not a dyadic point in [0, 1]: {shown}/2^{level}")
         # strip every trailing zero bit in one shift, at most level of them
         # since numerator <= 2^level; zero becomes 0/2^0
         shift = (numerator & -numerator).bit_length() - 1 if numerator else level
@@ -217,13 +224,11 @@ class Skeleton:
         """Exact midpoint of gap j (1-based, between sites j-1 and j)."""
         if not 1 <= j < len(self._values):
             raise IndexError(f"gap index {j} out of range")
-        return self._midpoint(j - 1, self._gap_levels[j - 1] + 1)
-
-    def _midpoint(self, g: int, level: int) -> DyadicPoint:
-        # gap g (0-based) at level L = level - 1 has left numerator
+        # the gap at level L = level - 1 has left numerator
         # k = left.numerator << (L - left.level); its midpoint is
         # (2k+1)/2^level, canonical because odd
-        left = self._gap_left[g]
+        level = self._gap_levels[j - 1] + 1
+        left = self._gap_left[j - 1]
         return _canonical(
             (self._site_nums[left] << (level - self._site_levels[left])) | 1, level)
 
@@ -233,13 +238,13 @@ class Skeleton:
     def __len__(self) -> int:
         return len(self._values)
 
-    def insert(self, t: DyadicPoint, value: float) -> int:
+    def insert(self, value: float) -> int:
         """Add the endpoint 1 with ``value`` to a fresh skeleton and return
-        its index 1.  Any other site, or a second call, raises ValueError:
-        every later site is added by :meth:`split`.
+        its index 1.  A second call raises ValueError: every later site is
+        added by :meth:`split`.
         """
-        if len(self._values) > 1 or t != ONE:
-            raise ValueError(f"insert takes only the endpoint 1 of a fresh skeleton, got {t}")
+        if len(self._values) > 1:
+            raise ValueError("insert adds only the endpoint 1, to a fresh skeleton")
         value = float(value)
         self._values.append(value)
         self._gap_levels.append(0)

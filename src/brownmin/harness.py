@@ -120,12 +120,6 @@ def true_min_stream(plan: ExperimentPlan, algorithm: str, replication: int) -> R
     return RngStream(plan.master_seed, _NS[algorithm], replication, _ROLE_TRUE_MIN)
 
 
-def sample_path_minimum(values: np.ndarray, lengths: np.ndarray, stream: RngStream) -> float:
-    """Exact draw of the path minimum given endpoint values per segment."""
-    uniforms = stream.uniform_open_closed(len(lengths))
-    return float(segment_minima(values, lengths, uniforms).min())
-
-
 def sample_true_min(skeleton: Skeleton, stream: RngStream) -> float:
     """Exact conditional draw of the true minimum given a skeleton.
 
@@ -134,7 +128,8 @@ def sample_true_min(skeleton: Skeleton, stream: RngStream) -> float:
     """
     if skeleton.n < 1:
         raise ValueError("skeleton must cover [0, 1]")
-    return sample_path_minimum(skeleton.values, skeleton.gap_lengths, stream)
+    uniforms = stream.uniform_open_closed(skeleton.n)  # one per gap
+    return float(segment_minima(skeleton.values, skeleton.gap_lengths, uniforms).min())
 
 
 def run_replication(plan: ExperimentPlan, lam: float, replication: int) -> np.ndarray:
@@ -174,14 +169,16 @@ def run_replications(plan: ExperimentPlan, lam: float, replications) -> np.ndarr
     # reshape gives a block of no rows the shape (0, n_max)
     normals = np.array([path_stream(plan, ADAPTIVE, r).gaussians(n_max)
                         for r in replications]).reshape(-1, n_max)
-    block = search_block(normals, lam, plan.level_cap, plan.n_grid)
+    block = search_block(normals, lam, plan.level_cap)
     # a capped row is dropped and draws nothing
     kept = np.flatnonzero(~block.capped)
     uniforms = np.array([true_min_stream(plan, ADAPTIVE, replications[row])
                          .uniform_open_closed(n_max) for row in kept]).reshape(-1, n_max)
     true_min = segment_minima(block.values[kept], block.lengths[kept], uniforms).min(axis=1)
-    deltas = np.full(block.m_n.shape, math.nan)
-    deltas[kept] = block.m_n[kept] - true_min[:, None]
+    # the grid columns first: the kept rows of the whole history are a copy
+    m_n = block.m_n[:, np.array(plan.n_grid) - 2]
+    deltas = np.full(m_n.shape, math.nan)
+    deltas[kept] = m_n[kept] - true_min[:, None]
     return deltas
 
 

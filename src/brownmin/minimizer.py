@@ -77,7 +77,6 @@ from .dyadic import (
     DEFAULT_LEVEL_CAP,
     GAP_LENGTH,
     MIDPOINT_SD,
-    ONE,
     MAX_LEVEL_CAP,
     _GAP_LENGTHS,
     _MIDPOINT_SDS,
@@ -160,6 +159,8 @@ class MinimizerState:
     |v_i - v_{i-1}| / sqrt(gap_i) over every gap created so far, a
     diagnostic for how rough the observed path is, as a NumPy float64.
 
+    A state starts on a skeleton that holds f(1) only, as :func:`init_state`
+    builds it: its first step splits gap 1 unscored, so n != 1 raises ValueError.
     Once the state exists, only :func:`step` and :func:`run` may add sites
     to its skeleton.
     """
@@ -168,6 +169,8 @@ class MinimizerState:
                  "_scores", "_lam", "_shift", "_n")
 
     def __init__(self, skeleton: Skeleton):
+        if skeleton.n != 1:
+            raise ValueError(f"a state starts at n = 1, got a skeleton with n = {skeleton.n}")
         self.skeleton = skeleton
         self.max_scaled_increment = np.float64(0.0)
         self.next_split = 1
@@ -230,7 +233,7 @@ def init_state(oracle: PathOracle, config: MinimizerConfig) -> tuple[MinimizerSt
     """
     if oracle.skeleton.n != 0:
         raise ValueError("oracle must be fresh (no evaluations yet)")
-    value = oracle.evaluate(ONE)
+    value = oracle.evaluate()
     state = MinimizerState(oracle.skeleton)
     state.max_scaled_increment = np.float64(abs(value))  # |f(1) - f(0)| / sqrt(1)
     return state, step(state, oracle, config)
@@ -419,7 +422,8 @@ class Trace(Sequence):
 class BlockResult(NamedTuple):
     """Outcome of :func:`search_block` for R rows run to N evaluations.
 
-    ``m_n[r, k]`` is row r's M_n at the k-th recorded n.  ``capped[r]`` is
+    ``m_n[r, n - 2]`` is row r's M_n after n evaluations, for every n = 2
+    .. N, as ``Trace.m_n`` holds it for one path.  ``capped[r]`` is
     true when row r needed a split deeper than the level cap; its other
     entries are then meaningless.  ``values`` (R, N+1) and ``lengths``
     (R, N) are each row's final sites' values and gap lengths in site
@@ -437,28 +441,22 @@ _FIRST_WIDTH = 32
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def search_block(normals: np.ndarray, lam: float, level_cap: int,
-                 record) -> BlockResult:
+def search_block(normals: np.ndarray, lam: float, level_cap: int) -> BlockResult:
     """Run one search per row of ``normals`` (R, N) in lockstep.
 
     Row r is the search of :func:`run` to N evaluations on a Brownian path
     whose k-th new site takes the normal ``normals[r, k]``, as a
-    :class:`~brownmin.oracle.BrownianOracle` does; M_n is recorded at each
-    n in ``record``, where a repeated n raises ValueError.  A row that
-    needs a split deeper than ``level_cap`` is marked in ``capped`` where
-    the per-path search raises DepthExceededError.  A non-finite largest
-    score in any row raises FloatingPointError, as :func:`step` does.
+    :class:`~brownmin.oracle.BrownianOracle` does, recording M_n at every n.
+    A row that needs a split deeper than ``level_cap`` is marked in
+    ``capped`` where the per-path search raises DepthExceededError.  A
+    non-finite largest score in any row raises FloatingPointError, as
+    :func:`step` does.
     """
     normals = np.asarray(normals, dtype=float)
     if normals.ndim != 2:
         raise ValueError("normals must be an (R, N) array")
     rows_count, n_max = normals.shape
     MinimizerConfig(lam=lam, max_steps=n_max, level_cap=level_cap)  # validates all three
-    record = [operator.index(n) for n in record]
-    if not all(2 <= n <= n_max for n in record):
-        raise ValueError(f"recorded n must lie in [2, {n_max}], got {record}")
-    if len(set(record)) != len(record):
-        raise ValueError(f"recorded n must not repeat, got {record}")
 
     # lengths and midpoint spreads come from the dyadic tables
     offset = np.array(_offset_table(lam))
@@ -486,8 +484,7 @@ def search_block(normals: np.ndarray, lam: float, level_cap: int,
     base = np.arange(rows_count) * width
     at = base.copy()  # flat index of the slot each row splits next
     capped = np.zeros(rows_count, dtype=bool)
-    m_n = np.empty((rows_count, len(record)))
-    column = {n: k for k, n in enumerate(record)}
+    m_n = np.empty((n_max - 1, rows_count))  # step n writes the contiguous row n - 2
 
     for n in range(2, n_max + 1):
         new = n - 1  # slot of the right half
@@ -527,8 +524,7 @@ def search_block(normals: np.ndarray, lam: float, level_cap: int,
         if len(moved):
             scores[moved, :n] = _score(GAP_LENGTH.take(levels[moved, :n]), left[moved, :n],
                                        right[moved, :n], c[moved, None])
-        if n in column:
-            m_n[:, column[n]] = m
+        m_n[n - 2] = m
         split = scores.argmax(axis=1)
         at = base + split
         best = scores_flat[at]
@@ -542,7 +538,13 @@ def search_block(normals: np.ndarray, lam: float, level_cap: int,
             tied = np.flatnonzero(scores_flat[base + scores.argmax(axis=1)] == best)
             scores_flat[at] = best
             for r in tied:
-                at[r] = base[r] + _leftmost_largest(scores[r, :n], links[r, :n], split[r])
+                # walk the links from slot 0, the leftmost gap, to the first
+                # slot in site order that holds the row's largest score
+                row, link = scores[r, :n].tolist(), links[r, :n].tolist()
+                slot, top = 0, row[split[r]]
+                while row[slot] != top:
+                    slot = link[slot]
+                at[r] = base[r] + slot
 
     values = np.empty((rows_count, n_max + 1))
     site_levels = np.empty((rows_count, n_max), dtype=np.int16)
@@ -553,7 +555,7 @@ def search_block(normals: np.ndarray, lam: float, level_cap: int,
         last = at
         at = base + links_flat[at]
     values[:, n_max] = right_flat[last]
-    return BlockResult(m_n, capped, values, GAP_LENGTH.take(site_levels))
+    return BlockResult(m_n.T, capped, values, GAP_LENGTH.take(site_levels))
 
 
 def _widen(slots: np.ndarray, width: int, fill=0) -> np.ndarray:
@@ -561,18 +563,6 @@ def _widen(slots: np.ndarray, width: int, fill=0) -> np.ndarray:
     wider = np.full((slots.shape[0], width), fill, dtype=slots.dtype)
     wider[:, : slots.shape[1]] = slots
     return wider
-
-
-def _leftmost_largest(scores: np.ndarray, links: np.ndarray, first: int) -> int:
-    # the first slot in site order (slot 0 holds the leftmost gap) whose
-    # score equals the row's largest, scores[first]
-    best = scores[first]
-    scores = scores.tolist()
-    links = links.tolist()
-    slot = 0
-    while scores[slot] != best:
-        slot = links[slot]
-    return slot
 
 
 class ScoreBoundCheck(NamedTuple):

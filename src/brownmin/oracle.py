@@ -1,7 +1,7 @@
 """Function evaluation oracles over [0, 1] with f(0) = 0.
 
 A path oracle is observed the way the adaptive search observes a path:
-``evaluate(ONE)`` gives the endpoint f(1) once, on a fresh oracle, and
+``evaluate()`` gives the endpoint f(1) once, on a fresh oracle, and
 records it in the oracle's :class:`~brownmin.dyadic.Skeleton`; every
 later site is the midpoint of a known gap, whose value
 :meth:`PathOracle.midpoint` answers with the gap's index and the caller
@@ -22,12 +22,12 @@ from typing import Callable
 
 import numpy as np
 
-from .dyadic import _MIDPOINT_SDS, DyadicPoint, Skeleton
+from .dyadic import _MIDPOINT_SDS, Skeleton
 from .rng import RngStream
 
 
 class PathOracle(abc.ABC):
-    """Evaluation contract, with f(0) = 0: ``evaluate(ONE)`` once, then
+    """Evaluation contract, with f(0) = 0: ``evaluate()`` once, then
     values at gap midpoints only.  ``evaluate`` records its value in
     ``skeleton``; ``midpoint`` answers without recording, and the caller
     records the value with ``skeleton.split``."""
@@ -35,9 +35,9 @@ class PathOracle(abc.ABC):
     skeleton: Skeleton
 
     @abc.abstractmethod
-    def evaluate(self, t: DyadicPoint) -> float:
-        """Value at the endpoint t = 1 of a fresh oracle, recorded in the
-        skeleton.  Any other t, or a second call, raises ValueError."""
+    def evaluate(self) -> float:
+        """Value at the endpoint 1 of a fresh oracle, recorded in the
+        skeleton.  A second call raises ValueError."""
 
     @abc.abstractmethod
     def midpoint(self, j: int) -> float:
@@ -56,7 +56,7 @@ class PathOracle(abc.ABC):
 class BrownianOracle(PathOracle):
     """Lazily bridge-sampled Brownian path.
 
-    ``evaluate(ONE)`` draws W(1) as a standard normal; ``midpoint(j)``
+    ``evaluate()`` draws W(1) as a standard normal; ``midpoint(j)``
     draws the midpoint of gap j from the bridge midpoint law between its
     two neighbours.
 
@@ -86,9 +86,9 @@ class BrownianOracle(PathOracle):
             self._block *= 2
         return self._normals
 
-    def evaluate(self, t: DyadicPoint) -> float:
+    def evaluate(self) -> float:
         value = self._draw(0)[0]
-        self.skeleton.insert(t, value)  # refuses any t but ONE of a fresh skeleton
+        self.skeleton.insert(value)  # refuses a second call
         return value
 
     def midpoint(self, j: int) -> float:
@@ -117,9 +117,9 @@ class DeterministicOracle(PathOracle):
         self.fn = fn
         self.skeleton = Skeleton()
 
-    def evaluate(self, t: DyadicPoint) -> float:
+    def evaluate(self) -> float:
         value = float(self.fn(1.0))
-        self.skeleton.insert(t, value)  # refuses any t but ONE
+        self.skeleton.insert(value)  # refuses a second call
         return value
 
     def midpoint(self, j: int) -> float:

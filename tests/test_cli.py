@@ -130,6 +130,26 @@ def test_import_loads_no_process_pool():
     assert result.stdout.strip() == "[]"
 
 
+def _console(*args, cwd=None):
+    # the command line as a console run starts it: python -m brownmin.cli
+    src = Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run([sys.executable, "-m", "brownmin.cli", *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(src)), cwd=cwd,
+                          timeout=60)
+
+
+def test_console_run_exits_with_the_documented_codes(tmp_path):
+    result = _console("suggest-lambda", "--r", "2", "--p", "2")
+    assert (result.returncode, result.stdout, result.stderr) == (0, "720\n", "")
+    result = _console("simulate", "--lambda", "nan", "--steps", "10", "--seed", "1",
+                      "--out", "x.csv", cwd=tmp_path)
+    assert result.returncode == 2 and not (tmp_path / "x.csv").exists()
+    result = _console("simulate", "--lambda", "1", "--steps", "10", "--seed", "1",
+                      "--out", str(tmp_path / "missing" / "x.csv"))
+    assert result.returncode == 3 and result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1 and result.stderr.startswith("brownmin: ")
+
+
 def test_suggest_lambda(capsys):
     assert main(["suggest-lambda", "--r", "1", "--p", "1"]) == 0
     assert capsys.readouterr().out.strip() == "288"

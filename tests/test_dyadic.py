@@ -95,8 +95,22 @@ def test_validation():
         DyadicPoint(1, -1)
     with pytest.raises(ValueError):
         DyadicPoint(3, 1)
-    with pytest.raises(ValueError):
-        DyadicPoint(2 ** (10**6) + 1, 10**6)  # one past 1 at a deep level
+    # one past 1 at a deep level: the message gives the numerator's bit
+    # length, as str() refuses an int of more than 4 300 digits
+    with pytest.raises(ValueError, match=r"not a dyadic point .*1000001-bit"):
+        DyadicPoint(2 ** (10**6) + 1, 10**6)
+
+
+def test_only_integers_make_a_point():
+    # a float level was accepted and broke float(); a float numerator
+    # failed on a missing bit_length, as did a NumPy integer
+    for numerator, level in ((1, 1.0), (2, 2.0), (1.0, 1), (1, 0.0)):
+        with pytest.raises(TypeError):
+            DyadicPoint(numerator, level)
+    point = DyadicPoint(np.int64(3), np.int16(2))
+    assert float(point) == 0.75 and point == DyadicPoint(3, 2)
+    assert type(point.numerator) is int and type(point.level) is int
+    assert DyadicPoint(np.int64(6), 3) == DyadicPoint(3, 2)
 
 
 def test_range_check_does_not_build_the_power_of_two():
@@ -138,7 +152,7 @@ def test_float_conversion_monotone_at_depth():
 def _build(endpoint, splits=()):
     """Skeleton with f(1) = endpoint, then one split(j, value) per pair."""
     skel = Skeleton()
-    skel.insert(ONE, endpoint)
+    skel.insert(endpoint)
     for j, value in splits:
         skel.split(j, value)
     return skel
@@ -168,7 +182,7 @@ def test_a_fresh_skeleton_has_no_smallest_gap():
 
 def test_skeleton_insert_returns_index():
     skel = Skeleton()
-    assert skel.insert(ONE, 1.0) == 1
+    assert skel.insert(1.0) == 1
     assert skel.site(1) == ONE
     # a split puts the midpoint of gap j at index j
     for j, site in ((1, DyadicPoint(1, 1)), (2, DyadicPoint(3, 2)), (1, DyadicPoint(1, 2))):
@@ -179,17 +193,14 @@ def test_skeleton_insert_returns_index():
 
 
 def test_skeleton_rejects_bad_inserts():
-    # insert takes the endpoint 1 once, on a fresh skeleton, and nothing else
+    # insert adds the endpoint 1 once, on a fresh skeleton
     skel = Skeleton()
-    for t in (DyadicPoint(1, 1), ZERO, DyadicPoint(1, 7)):
-        with pytest.raises(ValueError):
-            skel.insert(t, 0.5)
-    assert len(skel) == 1 and skel.n == 0
-    skel.insert(ONE, 1.0)
+    skel.insert(1.0)
+    with pytest.raises(ValueError):
+        skel.insert(2.0)
     skel.split(1, 0.5)
-    for t in (ONE, ZERO, DyadicPoint(1, 1), DyadicPoint(1, 2), DyadicPoint(3, 2)):
-        with pytest.raises(ValueError):
-            skel.insert(t, 2.0)
+    with pytest.raises(ValueError):
+        skel.insert(2.0)
     assert list(skel.values) == [0.0, 0.5, 1.0]
     assert skel.gap_levels.tolist() == [1, 1]
 

@@ -8,7 +8,7 @@ import pytest
 
 from brownmin import cli, harness
 from brownmin.bridge import BridgeSegment, bridge_min_sample, segment_minima
-from brownmin.dyadic import ONE, DepthExceededError, Skeleton
+from brownmin.dyadic import DepthExceededError, Skeleton
 from brownmin.harness import (
     ADAPTIVE,
     EQUIDISTANT,
@@ -24,7 +24,6 @@ from brownmin.harness import (
     run_experiment,
     run_replication,
     run_replications,
-    sample_path_minimum,
     sample_true_min,
     true_min_stream,
     write_errors_csv,
@@ -82,7 +81,7 @@ def test_single_segment_inverse_cdf_example():
 
 def test_all_boundary_uniforms_reproduce_discrete_min():
     skel = Skeleton()
-    skel.insert(ONE, 0.4)
+    skel.insert(0.4)
     skel.split(1, -0.2)  # the site 1/2
     skel.split(1, 0.1)  # the site 1/4
     minima = segment_minima(skel.values, skel.gap_lengths, np.ones(3))
@@ -119,11 +118,12 @@ def test_sample_true_min_requires_coverage():
         sample_true_min(Skeleton(), RngStream(1, 0))
 
 
-def test_sample_path_minimum_matches_flat_bridge_law():
+def test_sample_true_min_matches_flat_bridge_law():
     # minimum below the flat skeleton (0,0),(1,0) has tail exp(-2 y^2)
+    flat = Skeleton()
+    flat.insert(0.0)
     stream = RngStream(606, 0)
-    draws = np.sort([sample_path_minimum([0.0, 0.0], [1.0], stream)
-                     for _ in range(10_000)])
+    draws = np.sort([sample_true_min(flat, stream) for _ in range(10_000)])
     analytic = np.exp(-2.0 * draws**2)
     n = len(draws)
     ks = max(
@@ -295,6 +295,15 @@ def test_workers_beyond_the_usable_cpus_split_nothing(mapped, monkeypatch):
     assert harness.run_experiments((plan,), workers=64) == run_experiment(plan)
     _, blocks, workers = mapped[0]
     assert blocks == [range(16), range(16)] and workers == 1
+
+
+def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch):
+    # a platform without an affinity call counts every CPU, or one
+    monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+    assert harness._usable_cpus() == 3
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+    assert harness._usable_cpus() == 1
 
 
 def test_estimate_lp_error_examples():
@@ -499,12 +508,12 @@ def test_block_search_breaks_ties_like_the_per_path_search():
     # a flat path: every score ties, so each split is the leftmost gap in
     # site order, which the block finds by walking its links
     steps = 300
-    block = search_block(np.zeros((3, steps)), 1.0, 1000, (2, 50, steps))
+    block = search_block(np.zeros((3, steps)), 1.0, 1000)
     state, traces = run(DeterministicOracle(lambda t: 0.0),
                         MinimizerConfig(lam=1.0, max_steps=steps))
     skel = state.skeleton
     assert not block.capped.any()
-    assert np.array_equal(block.m_n, np.tile([traces[n - 2].m_n for n in (2, 50, steps)], (3, 1)))
+    assert np.array_equal(block.m_n, np.tile(traces.m_n, (3, 1)))
     for row in range(3):
         assert np.array_equal(block.values[row], skel.values)
         assert np.array_equal(block.lengths[row], 2.0 ** -skel.gap_levels.astype(float))
@@ -512,16 +521,26 @@ def test_block_search_breaks_ties_like_the_per_path_search():
 
 def test_search_block_validation():
     normals = np.zeros((2, 8))
-    search_block(normals, 1.0, 1000, (2, 8))
-    # a repeated n left the earlier M_n column unwritten
-    for args in ((np.zeros(8), 1.0, 1000, (8,)), (normals, 0.5, 1000, (8,)),
-                 (normals, 1.0, 1, (8,)), (normals, 1.0, 1000, (1,)),
-                 (normals, 1.0, 1000, (9,)), (normals, 1.0, 1000, (4, 4))):
+    assert search_block(normals, 1.0, 1000).m_n.shape == (2, 7)
+    for args in ((np.zeros(8), 1.0, 1000), (normals, 0.5, 1000), (normals, 1.0, 1),
+                 (np.zeros((2, 1)), 1.0, 1000)):
         with pytest.raises(ValueError):
             search_block(*args)
-    for args in ((normals, 1.0, 1000, (7.5,)), (normals, 1.0, 20.5, (8,))):
-        with pytest.raises(TypeError):
-            search_block(*args)
+    with pytest.raises(TypeError):
+        search_block(normals, 1.0, 20.5)
+
+
+@pytest.mark.parametrize("lam", [1.0, 8.0])
+def test_block_records_m_n_at_every_n_like_the_per_path_search(lam):
+    # every row's whole M_n history, not only the grid's n, is the trace's
+    steps = 600
+    streams = [RngStream(91, row) for row in range(8)]
+    block = search_block(np.array([s.gaussians(steps) for s in streams]), lam, 1000)
+    assert block.m_n.shape == (8, steps - 1) and not block.capped.any()
+    config = MinimizerConfig(lam=lam, max_steps=steps)
+    for row in range(8):
+        oracle = BrownianOracle(RngStream(91, row), capacity=steps)
+        assert block.m_n[row].tobytes() == run(oracle, config)[1].m_n.tobytes()
 
 
 @pytest.mark.parametrize("column", [40, 63])
@@ -529,10 +548,10 @@ def test_search_block_refuses_a_non_finite_score(column):
     # one NaN normal gives one NaN value, whose two gaps score NaN; a NaN
     # in the last column shows only in the final state
     normals = np.random.default_rng(3).standard_normal((4, 64))
-    search_block(normals, 1.0, 1000, (64,))
+    search_block(normals, 1.0, 1000)
     normals[2, column] = math.nan
     with pytest.raises(FloatingPointError):
-        search_block(normals, 1.0, 1000, (64,))
+        search_block(normals, 1.0, 1000)
 
 
 def test_run_experiment_equidistant():

@@ -13,7 +13,6 @@ import pytest
 from brownmin.dyadic import (
     DEFAULT_LEVEL_CAP,
     MAX_LEVEL_CAP,
-    ONE,
     ZERO,
     _MIDPOINT_SDS,
     DepthExceededError,
@@ -360,7 +359,7 @@ def test_search_grows_the_skeleton_as_skeleton_split_does(make, lam):
     state, trace = run(make(), MinimizerConfig(lam=lam, max_steps=2000))
     searched = state.skeleton
     replayed = Skeleton()
-    replayed.insert(ONE, searched.values[-1])
+    replayed.insert(searched.values[-1])
     for row in trace:
         replayed.split(row.split_index, row.value)
     assert replayed.values.tobytes() == searched.values.tobytes()
@@ -476,6 +475,17 @@ def test_check_score_bound_flat_example():
     assert record.rho_max <= record.score_bound
 
 
+def test_check_score_bound_raises_on_a_violation():
+    # with increments below their bound, a largest score above the score
+    # bound is an algorithm bug, and the check says so
+    oracle = DeterministicOracle(lambda t: 0.0)
+    config = MinimizerConfig(lam=1.0, max_steps=2)
+    state, _ = init_state(oracle, config)
+    state.rho_max = 1.001 * check_score_bound(state, config).score_bound
+    with pytest.raises(RuntimeError, match="score bound violated"):
+        check_score_bound(state, config)
+
+
 def test_check_score_bound_not_applicable():
     # a violent path: |f(1) - f(0)| = 10 exceeds sqrt(lam ln(2) / 4)
     oracle = DeterministicOracle(piecewise([(0.0, 0.0), (0.5, 0.0), (1.0, 10.0)]))
@@ -531,13 +541,13 @@ def test_an_infinite_score_is_refused_without_numpy_warnings():
         with pytest.raises(FloatingPointError, match="split score inf"):
             run(flat, MinimizerConfig(lam=1.0, max_steps=10))
         with pytest.raises(FloatingPointError, match="non-finite split score"):
-            search_block(np.array([[-1e20] + [0.0] * 9]), 1.0, DEFAULT_LEVEL_CAP, (10,))
+            search_block(np.array([[-1e20] + [0.0] * 9]), 1.0, DEFAULT_LEVEL_CAP)
 
 
 def _first_value_only(endpoint):
     # a state on a skeleton that holds only f(1)
     skel = Skeleton()
-    skel.insert(ONE, endpoint)
+    skel.insert(endpoint)
     return MinimizerState(skel)
 
 
@@ -549,9 +559,23 @@ def test_scores_and_the_bound_need_two_evaluations():
         check_score_bound(state, MinimizerConfig(lam=1.0, max_steps=2))
 
 
+def test_a_state_starts_on_the_endpoint_alone():
+    # on sites 0, 1/2, 3/4, 1 the largest score is gap 3's, yet a state
+    # built there split gap 1, its first step's unscored choice
+    oracle = DeterministicOracle(lambda t: -t if t > 0.6 else 0.5 * t)
+    oracle.evaluate()
+    oracle.split(1)
+    oracle.split(2)
+    assert [str(s) for s in oracle.skeleton.sites] == ["0/2^0", "1/2^1", "3/2^2", "1/2^0"]
+    for skeleton in (oracle.skeleton, Skeleton()):
+        with pytest.raises(ValueError, match="starts at n = 1"):
+            MinimizerState(skeleton)
+    assert oracle.skeleton.n == 3
+
+
 def test_init_state_needs_a_fresh_oracle():
     oracle = DeterministicOracle(lambda t: t)
-    oracle.evaluate(ONE)
+    oracle.evaluate()
     with pytest.raises(ValueError, match="must be fresh"):
         init_state(oracle, MinimizerConfig(lam=1.0, max_steps=2))
 
@@ -622,7 +646,7 @@ def _site_chain_trace(values, rhos):
     # a Trace over a skeleton that splits its first gap every time, so
     # row i's site is 1/2^(i + 1): 1023 rows reach the subnormal 2^-1023
     skel = Skeleton()
-    skel.insert(ONE, -0.0)
+    skel.insert(-0.0)
     for _ in values:
         skel.split(1, 0.0)
     return Trace(skel, array("d", values), array("d", rhos), array("i", [1] * len(values)))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from brownmin.dyadic import MAX_LEVEL_CAP, ONE, ZERO, DepthExceededError, DyadicPoint, Skeleton
+from brownmin.dyadic import MAX_LEVEL_CAP, ZERO, DepthExceededError, DyadicPoint, Skeleton
 from brownmin.minimizer import MinimizerConfig, run
 from brownmin.oracle import (
     BrownianOracle,
@@ -15,21 +15,20 @@ from brownmin.oracle import (
 from brownmin.rng import RngStream
 
 HALF = DyadicPoint(1, 1)
-QUARTER = DyadicPoint(1, 2)
 
 
 def test_endpoint_value_is_unconditional_normal():
     # W(1) equals the stream's first standard normal draw
     expected = RngStream(11, 0).gaussian()
     oracle = BrownianOracle(RngStream(11, 0))
-    assert oracle.evaluate(ONE) == expected
+    assert oracle.evaluate() == expected
 
 
 def test_zero_site_is_always_zero():
     oracle = BrownianOracle(RngStream(12, 0))
     skel = oracle.skeleton
     assert skel.site(0) == ZERO and skel.values[0] == 0.0
-    oracle.evaluate(ONE)
+    oracle.evaluate()
     for _ in range(5):
         oracle.split(1)
     assert skel.site(0) == ZERO and skel.values[0] == 0.0
@@ -37,12 +36,10 @@ def test_zero_site_is_always_zero():
 
 def test_interior_before_endpoint_rejected():
     oracle = BrownianOracle(RngStream(13, 0))
-    with pytest.raises(ValueError):
-        oracle.evaluate(HALF)
     with pytest.raises(IndexError):
         oracle.split(1)  # no gap before the endpoint
     assert oracle.skeleton.n == 0
-    assert oracle.evaluate(ONE) == RngStream(13, 0).gaussian()
+    assert oracle.evaluate() == RngStream(13, 0).gaussian()
 
 
 @pytest.mark.parametrize("make", [
@@ -52,14 +49,10 @@ def test_interior_before_endpoint_rejected():
 def test_evaluate_takes_only_the_endpoint_once(make):
     oracle, reference = make(), make()
     skel = oracle.skeleton
-    for t in (HALF, ZERO, QUARTER, DyadicPoint(1, 40)):
+    assert oracle.evaluate() == reference.evaluate()
+    for _ in range(3):
         with pytest.raises(ValueError):
-            oracle.evaluate(t)
-    assert skel.n == 0
-    assert oracle.evaluate(ONE) == reference.evaluate(ONE)
-    for t in (ONE, ZERO, HALF, DyadicPoint(3, 2)):
-        with pytest.raises(ValueError):
-            oracle.evaluate(t)
+            oracle.evaluate()
     assert skel.n == 1 and skel.gap_levels.tolist() == [0]
     # the refused calls left the next split as it was
     assert oracle.split(1) == reference.split(1)
@@ -71,7 +64,7 @@ def test_midpoint_draw_uses_bridge_law():
     clone = RngStream(14, 0)
     z1, z2 = clone.gaussian(), clone.gaussian()
     oracle = BrownianOracle(RngStream(14, 0))
-    w1 = oracle.evaluate(ONE)
+    w1 = oracle.evaluate()
     assert w1 == z1
     w_half = oracle.split(1)
     assert oracle.skeleton.site(1) == HALF
@@ -88,7 +81,7 @@ def test_capacity_is_checked_at_construction():
     # any capacity of at least 1 draws the same path
     expected = RngStream(15, 0).gaussian()
     for capacity in (1, np.int64(3), 64):
-        assert BrownianOracle(RngStream(15, 0), capacity=capacity).evaluate(ONE) == expected
+        assert BrownianOracle(RngStream(15, 0), capacity=capacity).evaluate() == expected
 
 
 def test_midpoint_draw_keeps_its_spread_at_depth():
@@ -102,7 +95,7 @@ def test_midpoint_draw_keeps_its_spread_at_depth():
     z = RngStream(19, 0).gaussians(MAX_LEVEL_CAP + 2)
     oracle = BrownianOracle(RngStream(19, 0))
     skel = oracle.skeleton
-    oracle.evaluate(ONE)
+    oracle.evaluate()
     for level in range(MAX_LEVEL_CAP):
         b = skel.values[1]  # at the site 2^-level
         value = oracle.split(1)  # midpoint of (0, 2^-level)
@@ -130,7 +123,7 @@ def test_refused_calls_use_no_normal():
         with pytest.raises(IndexError):
             oracle.split(j)
     assert skel.n == 0
-    assert oracle.evaluate(ONE) == reference.evaluate(ONE)
+    assert oracle.evaluate() == reference.evaluate()
     assert oracle.split(1) == reference.split(1)
     values, levels = skel.values, skel.gap_levels
     for j in (0, len(skel), -1):
@@ -153,7 +146,7 @@ def test_midpoint_answers_without_recording(make):
     # was never asked; past 8 sites the Brownian oracle draws a new block
     oracle, reference = make(), make()
     skel = oracle.skeleton
-    assert oracle.evaluate(ONE) == reference.evaluate(ONE)
+    assert oracle.evaluate() == reference.evaluate()
     for j in (1, 1, 2, 3, 1, 5, 4, 2, 8, 9, 3, 11, 1):
         values, levels = skel.values, skel.gap_levels
         value = oracle.midpoint(j)
@@ -167,7 +160,7 @@ def test_midpoint_answers_without_recording(make):
 
 def test_skeleton_reflects_evaluations():
     oracle = BrownianOracle(RngStream(16, 0))
-    oracle.evaluate(ONE)
+    oracle.evaluate()
     oracle.split(1)
     oracle.split(1)
     assert [str(s) for s in oracle.skeleton.sites] == [
@@ -185,7 +178,7 @@ def test_nonadaptive_increments_are_standard_normal():
     root_half = math.sqrt(0.5)
     for rep in range(n_reps):
         oracle = BrownianOracle(RngStream(777, rep))
-        v1 = oracle.evaluate(ONE)
+        v1 = oracle.evaluate()
         vh = oracle.split(1)
         w1[rep] = v1
         left[rep] = vh / root_half
@@ -196,7 +189,7 @@ def test_nonadaptive_increments_are_standard_normal():
 
 def test_deterministic_oracle_example():
     oracle = DeterministicOracle(lambda t: (t - 1.0 / 3.0) ** 2 - 1.0 / 9.0)
-    assert oracle.evaluate(ONE) == pytest.approx(1.0 / 3.0, rel=1e-15)
+    assert oracle.evaluate() == pytest.approx(1.0 / 3.0, rel=1e-15)
     value = oracle.split(1)
     assert value == pytest.approx((1.0 / 6.0) ** 2 - 1.0 / 9.0, rel=1e-15)
     assert value == pytest.approx(-1.0 / 12.0, rel=1e-15)
@@ -211,7 +204,7 @@ def test_deterministic_oracle_requires_zero_at_origin():
 
 def test_deterministic_oracle_splits_exactly_to_the_level_cap():
     oracle = DeterministicOracle(lambda t: t * (1.0 - t))
-    oracle.evaluate(ONE)
+    oracle.evaluate()
     for j in (1, 1, 2):  # 1/2, 1/4, then 3/8
         oracle.split(j)
     skel = oracle.skeleton
@@ -219,7 +212,7 @@ def test_deterministic_oracle_splits_exactly_to_the_level_cap():
     assert skel.values[2] == pytest.approx(0.375 * 0.625, rel=1e-15)
     # down to the deepest level every site and value is exact
     deep = DeterministicOracle(lambda t: t)
-    deep.evaluate(ONE)
+    deep.evaluate()
     for level in range(1, MAX_LEVEL_CAP + 1):
         assert deep.split(1) == 2.0**-level
         assert deep.skeleton.site(1) == DyadicPoint(1, level)
@@ -238,9 +231,9 @@ def test_user_oracle_with_evaluate_and_midpoint_can_be_searched():
         def __init__(self):
             self.skeleton = Skeleton()
 
-        def evaluate(self, t):
-            value = fn(float(t))
-            self.skeleton.insert(t, value)
+        def evaluate(self):
+            value = fn(1.0)
+            self.skeleton.insert(value)
             return value
 
         def midpoint(self, j):
@@ -250,7 +243,7 @@ def test_user_oracle_with_evaluate_and_midpoint_can_be_searched():
     assert run(Quadratic(), config)[1] == run(DeterministicOracle(fn), config)[1]
     # split, inherited, answers with midpoint and records the value
     oracle = Quadratic()
-    oracle.evaluate(ONE)
+    oracle.evaluate()
     assert oracle.split(1) == fn(0.5) == oracle.skeleton.values[1]
 
     # midpoint is part of the contract: an oracle without it cannot be made
