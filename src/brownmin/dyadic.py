@@ -258,10 +258,7 @@ class Skeleton:
     def split(self, j: int, value: float) -> None:
         """Insert ``value`` at the midpoint of gap j (1-based); the new site
         gets index j and the two halves become gaps j and j+1.  Halves
-        deeper than MAX_LEVEL_CAP raise DepthExceededError.
-
-        The per-path search grows the skeleton with these statements
-        inline (``minimizer._search``); the two must stay the same."""
+        deeper than MAX_LEVEL_CAP raise DepthExceededError."""
         values = self._values
         if not 1 <= j < len(values):
             raise IndexError(f"gap index {j} out of range")

@@ -28,16 +28,19 @@ argmax returns the first NaN, so checking the chosen score covers the
 whole array.
 
 The per-path search is one loop, which :func:`step` runs for one split
-and :func:`run` for all the rest.  It keeps the skeleton's buffers, the
-scores, M_n, the tau level and the running scaled increment in locals,
-makes one Python-level call per split (the oracle's midpoint value) and
-grows the skeleton in place; no site object or trace row is built on the
-way.  For :func:`run` it appends each state's new value, largest score
-and split gap to three ``array.array`` columns, which :class:`Trace`
-turns into rows in O(1) each: M_n is the running minimum of the values,
-the tau level the running maximum of the new sites' levels, and state
-n's site has id n in the skeleton's site table.  Traces compare by these
-columns and :func:`write_trace_csv` formats them directly.
+and :func:`run` for all the rest.  It keeps the scores, M_n, the tau
+level and the running scaled increment in locals and records each new
+value with ``Skeleton.split``.  On a
+:class:`~brownmin.oracle.BrownianOracle` it computes each midpoint from
+the path's normals with the expression :func:`search_block` uses; any
+other oracle is asked ``midpoint(j)`` once per split.  No site object or
+trace row is built on the way.  For :func:`run` it appends each state's
+new value, largest score and split gap to three ``array.array`` columns,
+which :class:`Trace` turns into rows in O(1) each: M_n is the running
+minimum of the values, the tau level the running maximum of the new
+sites' levels, and state n's site has id n in the skeleton's site table.
+Traces compare by these columns and :func:`write_trace_csv` formats them
+directly.
 
 :func:`search_block` runs R searches on Brownian paths in lockstep, one
 row per path, so that a step's Python overhead is paid once per block.
@@ -85,7 +88,7 @@ from .dyadic import (
     Skeleton,
     _canonical,
 )
-from .oracle import PathOracle
+from .oracle import BrownianOracle, PathOracle
 
 
 def search_offset(x: float, lam: float) -> float:
@@ -274,11 +277,10 @@ def _search(state: MinimizerState, oracle: PathOracle, config: MinimizerConfig, 
     # The search loop behind step and run: split until the state holds
     # ``stop`` evaluations, appending each new state's value, largest score
     # and split gap to ``values``, ``rhos`` and ``splits`` when given.  The
-    # skeleton's buffers, the scores, M_n, the tau level and the running
-    # increment sit in locals.  A split makes one Python-level call,
-    # oracle.midpoint, and grows the skeleton with the statements of Skeleton.split.  With M_n,
-    # tau and lam unchanged it scores the two halves of the split gap;
-    # otherwise split_scores, looked up at call time, rescores every gap.
+    # scores, M_n, the tau level and the running increment sit in locals;
+    # each value is recorded with Skeleton.split.  With M_n, tau and lam
+    # unchanged it scores the two halves of the split gap; otherwise
+    # split_scores, looked up at call time, rescores every gap.
     skel = state.skeleton
     vals = skel._values
     n = state._n
@@ -287,10 +289,10 @@ def _search(state: MinimizerState, oracle: PathOracle, config: MinimizerConfig, 
     lam = config.lam
     cap = config.level_cap
     levels = skel._gap_levels
-    gap_left = skel._gap_left
-    nums = skel._site_nums
-    site_levels = skel._site_levels
+    split = skel.split
     midpoint = oracle.midpoint
+    # read as search_block reads them; the exact type, as a subclass may override midpoint
+    normals = oracle._draw(stop - 1) if type(oracle) is BrownianOracle else None
     frombuffer = np.frombuffer
     isfinite = math.isfinite
     lengths = _GAP_LENGTHS
@@ -312,18 +314,14 @@ def _search(state: MinimizerState, oracle: PathOracle, config: MinimizerConfig, 
                     f"midpoint of ({skel.site(g)}, {skel.site(j)}) needs level {level} "
                     f"> cap {cap}"
                 )
-            value = midpoint(j)
-            vals.insert(j, value)
-            levels[g] = level
-            levels.insert(j, level)
-            n += 1  # also the new site's id
-            left = gap_left[g]
-            gap_left.insert(j, n)
-            nums.append((nums[left] << (level - site_levels[left])) | 1)
-            site_levels.append(level)
-
             a = vals[g]
-            b = vals[j + 1]
+            b = vals[j]
+            if normals is None:
+                value = midpoint(j)
+            else:  # the new site's id is n + 1, and W(1) took normal 0
+                value = a + 0.5 * (b - a) + spreads[level - 1] * normals[n]
+            split(j, value)
+            n += 1
             half = lengths[level]
             # max(|value - a|, |b - value|) / sqrt(half), without the calls
             rise = value - a
@@ -337,9 +335,9 @@ def _search(state: MinimizerState, oracle: PathOracle, config: MinimizerConfig, 
                 increment_max = increment
             if value < m or level > tau or stale:
                 if value < m:
-                    m = skel._min_value = value
+                    m = value
                 if level > tau:
-                    tau = skel._tau_level = level
+                    tau = level
                 scores = state._scores = array("d", split_scores(state, lam).tobytes())
                 shift = state._shift = m - _offset_table(lam)[tau]
                 state._lam = lam

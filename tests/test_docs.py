@@ -26,11 +26,17 @@ def test_readme_python_example_runs():
         exec(compile(block, "README.md", "exec"), {})
 
 
+# runs a demo with every warning raised from package code an error, as
+# pyproject.toml makes it in the tests
+RUN_DEMO = ("import runpy, sys, warnings; warnings.filterwarnings('error', module='brownmin'); "
+            "runpy.run_path(sys.argv[1], run_name='__main__')")
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    result = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
-                            capture_output=True, text=True, timeout=120)
+    result = subprocess.run([sys.executable, "-c", RUN_DEMO, str(demo)], cwd=tmp_path,
+                            env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
 
 

@@ -35,7 +35,7 @@ from brownmin.minimizer import (
     step,
     write_trace_csv,
 )
-from brownmin.oracle import BrownianOracle, DeterministicOracle
+from brownmin.oracle import BrownianOracle, DeterministicOracle, PathOracle
 from brownmin.rng import RngStream
 
 LN2 = math.log(2.0)
@@ -353,9 +353,9 @@ def test_run_trace_equals_stepped_rows(make, lam, steps):
     (lambda: DeterministicOracle(lambda t: 0.0), 1.0),
 ], ids=["brownian-lam1", "brownian-lam8", "flat"])
 def test_search_grows_the_skeleton_as_skeleton_split_does(make, lam):
-    # the search keeps an inline copy of Skeleton.split: replaying its
-    # split column through Skeleton.split on a fresh skeleton must give
-    # the same skeleton; every split of the flat path is a tie
+    # a trace's split column replays to the searched skeleton: replaying
+    # it through Skeleton.split on a fresh skeleton must give the same
+    # skeleton; every split of the flat path is a tie
     state, trace = run(make(), MinimizerConfig(lam=lam, max_steps=2000))
     searched = state.skeleton
     replayed = Skeleton()
@@ -369,6 +369,80 @@ def test_search_grows_the_skeleton_as_skeleton_split_does(make, lam):
     assert replayed._site_levels == searched._site_levels
     assert _bits(replayed.min_value) == _bits(searched.min_value)
     assert replayed.tau_level == searched.tau_level
+
+
+@pytest.mark.parametrize("lam", [1.0, 8.0])
+def test_brownian_search_values_are_the_oracles_midpoints(lam):
+    # the search reads a BrownianOracle's normals itself: each step's value
+    # is the oracle's midpoint of the gap it splits, bit for bit, and
+    # asking the oracle first uses no normal
+    oracle = BrownianOracle(RngStream(86, int(lam)))
+    config = MinimizerConfig(lam=lam, max_steps=2000)
+    oracle.evaluate()
+    state = MinimizerState(oracle.skeleton)  # as init_state, bootstrap split included
+    values = []
+    while state.n < config.max_steps:
+        want = oracle.midpoint(state.next_split)
+        values.append(step(state, oracle, config).value)
+        assert _bits(values[-1]) == _bits(want), state.n
+    _, trace = run(BrownianOracle(RngStream(86, int(lam))), config)
+    assert [row.value for row in trace] == values
+
+
+class _AskedBrownian(BrownianOracle):
+    # counts the midpoint calls and answers as the plain oracle does
+    def __init__(self, stream):
+        super().__init__(stream)
+        self.asked = 0
+
+    def midpoint(self, j):
+        self.asked += 1
+        return super().midpoint(j)
+
+
+@pytest.mark.parametrize("lam", [1.0, 8.0])
+def test_a_brownian_subclass_is_asked_once_per_split(lam):
+    # only a plain BrownianOracle is read from its normals: a subclass may
+    # override midpoint, so the search asks it, bootstrap split included
+    config = MinimizerConfig(lam=lam, max_steps=2000)
+    oracle = _AskedBrownian(RngStream(87, int(lam)))
+    _, trace = run(oracle, config)
+    assert oracle.asked == config.max_steps - 1
+    assert trace == run(BrownianOracle(RngStream(87, int(lam))), config)[1]
+
+
+class _AskedPath(PathOracle):
+    # a custom oracle that records the gap of every midpoint call
+    def __init__(self, fn):
+        self.fn = fn
+        self.skeleton = Skeleton()
+        self.asked = []
+
+    def evaluate(self):
+        value = self.fn(1.0)
+        self.skeleton.insert(value)
+        return value
+
+    def midpoint(self, j):
+        self.asked.append(j)
+        return self.fn(float(self.skeleton.gap_midpoint(j)))
+
+
+def test_a_custom_oracle_is_asked_once_per_split():
+    oracle = _AskedPath(lambda t: t * math.sin(37.0 * t) - 0.3 * t)
+    _, trace = run(oracle, MinimizerConfig(lam=2.0, max_steps=400))
+    assert oracle.asked == [row.split_index for row in trace]
+    # a split refused at the level cap asks nothing: the flat path fills
+    # level 3 at n = 8, and its ninth evaluation would need level 4
+    oracle = _AskedPath(lambda t: 0.0)
+    config = MinimizerConfig(lam=1.0, max_steps=9, level_cap=3)
+    state, first = init_state(oracle, config)
+    rows = [first]
+    with pytest.raises(DepthExceededError):
+        while True:
+            rows.append(step(state, oracle, config))
+    assert state.n == 8
+    assert oracle.asked == [row.split_index for row in rows]
 
 
 def test_trace_reads_as_a_sequence_of_rows():
