@@ -29,16 +29,14 @@ whole array.
 
 The per-path search is one loop, which :func:`step` runs for one split
 and :func:`run` for all the rest.  It keeps the scores, M_n, the tau
-level and the running scaled increment in locals and records each new
-value with ``Skeleton.split``.  On a
-:class:`~brownmin.oracle.BrownianOracle` it computes each midpoint from
-the path's normals with the expression :func:`search_block` uses; any
-other oracle is asked ``midpoint(j)`` once per split.  No site object or
-trace row is built on the way.  For :func:`run` it appends each state's
-new value, largest score and split gap to three ``array.array`` columns,
-which :class:`Trace` turns into rows in O(1) each: M_n is the running
-minimum of the values, the tau level the running maximum of the new
-sites' levels, and state n's site has id n in the skeleton's site table.
+level and the running scaled increment in locals, asks the oracle for
+each midpoint value and records it with ``Skeleton.split``: two
+Python-level calls per split, and no site object or trace row built on
+the way.  For :func:`run` it appends each state's new value, largest
+score and split gap to three ``array.array`` columns, which
+:class:`Trace` turns into rows in O(1) each: M_n is the running minimum
+of the values, the tau level the running maximum of the new sites'
+levels, and state n's site has id n in the skeleton's site table.
 Traces compare by these columns and :func:`write_trace_csv` formats them
 directly.
 
@@ -88,7 +86,7 @@ from .dyadic import (
     Skeleton,
     _canonical,
 )
-from .oracle import BrownianOracle, PathOracle
+from .oracle import PathOracle
 
 
 def search_offset(x: float, lam: float) -> float:
@@ -277,8 +275,9 @@ def _search(state: MinimizerState, oracle: PathOracle, config: MinimizerConfig, 
     # The search loop behind step and run: split until the state holds
     # ``stop`` evaluations, appending each new state's value, largest score
     # and split gap to ``values``, ``rhos`` and ``splits`` when given.  The
-    # scores, M_n, the tau level and the running increment sit in locals;
-    # each value is recorded with Skeleton.split.  With M_n, tau and lam
+    # scores, M_n, the tau level and the running increment sit in locals.
+    # A split asks oracle.midpoint for the value and records it with
+    # Skeleton.split, the one writer of a skeleton.  With M_n, tau and lam
     # unchanged it scores the two halves of the split gap; otherwise
     # split_scores, looked up at call time, rescores every gap.
     skel = state.skeleton
@@ -289,10 +288,6 @@ def _search(state: MinimizerState, oracle: PathOracle, config: MinimizerConfig, 
     lam = config.lam
     cap = config.level_cap
     levels = skel._gap_levels
-    split = skel.split
-    midpoint = oracle.midpoint
-    # read as search_block reads them; the exact type, as a subclass may override midpoint
-    normals = oracle._draw(stop - 1) if type(oracle) is BrownianOracle else None
     frombuffer = np.frombuffer
     isfinite = math.isfinite
     lengths = _GAP_LENGTHS
@@ -316,11 +311,8 @@ def _search(state: MinimizerState, oracle: PathOracle, config: MinimizerConfig, 
                 )
             a = vals[g]
             b = vals[j]
-            if normals is None:
-                value = midpoint(j)
-            else:  # the new site's id is n + 1, and W(1) took normal 0
-                value = a + 0.5 * (b - a) + spreads[level - 1] * normals[n]
-            split(j, value)
+            value = oracle.midpoint(j)
+            skel.split(j, value)
             n += 1
             half = lengths[level]
             # max(|value - a|, |b - value|) / sqrt(half), without the calls

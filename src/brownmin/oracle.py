@@ -5,9 +5,7 @@ A path oracle is observed the way the adaptive search observes a path:
 records it in the oracle's :class:`~brownmin.dyadic.Skeleton`; every
 later site is the midpoint of a known gap, whose value
 :meth:`PathOracle.midpoint` answers with the gap's index and the caller
-records with ``Skeleton.split``.  The search computes a
-:class:`BrownianOracle`'s midpoints from its normals, as
-:meth:`BrownianOracle.midpoint` does, and asks every other oracle;
+records with ``Skeleton.split``, as the search does;
 :meth:`PathOracle.split` answers and records in one call, for code
 outside a search.  The Brownian oracle materialises a Brownian path
 lazily: W(1) is drawn unconditionally and every midpoint is drawn from
@@ -65,11 +63,10 @@ class BrownianOracle(PathOracle):
     picked by the skeleton's site count, so a refused call uses none and
     ``midpoint`` asked again before a split gives the same value.  The
     normals are drawn from the stream in blocks, so the stream may have
-    advanced past the last normal used; the search draws the blocks up
-    to its last step when it starts.  ``capacity`` sizes only the first
-    block (at least 8 draws); each later block doubles it.  It must be
-    an integer of at least 1: a float raises TypeError, a smaller value
-    ValueError.
+    advanced past the last normal used.  ``capacity``
+    sizes only the first block (at least 8 draws); each later block
+    doubles it.  It must be an integer of at least 1: a float raises
+    TypeError, a smaller value ValueError.
     """
 
     def __init__(self, stream: RngStream, capacity: int = 64):
@@ -95,14 +92,19 @@ class BrownianOracle(PathOracle):
 
     def midpoint(self, j: int) -> float:
         # midpoint of a gap of level L between values a and b: mean
-        # (a + b)/2 and standard deviation MIDPOINT_SD[L] = sqrt(2^-L)/2
+        # (a + b)/2 and standard deviation MIDPOINT_SD[L] = sqrt(2^-L)/2.
+        # The search calls this once per split, so the normals are read
+        # here, not through a further call, until a block runs out
         values = self.skeleton._values
         k = len(values) - 1
         if not 1 <= j <= k:
             raise IndexError(f"gap index {j} out of range")
+        normals = self._normals
+        if k >= len(normals):
+            normals = self._draw(k)
         a = values[j - 1]
         return (a + 0.5 * (values[j] - a)
-                + _MIDPOINT_SDS[self.skeleton._gap_levels[j - 1]] * self._draw(k)[k])
+                + _MIDPOINT_SDS[self.skeleton._gap_levels[j - 1]] * normals[k])
 
 
 class DeterministicOracle(PathOracle):

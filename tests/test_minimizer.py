@@ -371,46 +371,6 @@ def test_search_grows_the_skeleton_as_skeleton_split_does(make, lam):
     assert replayed.tau_level == searched.tau_level
 
 
-@pytest.mark.parametrize("lam", [1.0, 8.0])
-def test_brownian_search_values_are_the_oracles_midpoints(lam):
-    # the search reads a BrownianOracle's normals itself: each step's value
-    # is the oracle's midpoint of the gap it splits, bit for bit, and
-    # asking the oracle first uses no normal
-    oracle = BrownianOracle(RngStream(86, int(lam)))
-    config = MinimizerConfig(lam=lam, max_steps=2000)
-    oracle.evaluate()
-    state = MinimizerState(oracle.skeleton)  # as init_state, bootstrap split included
-    values = []
-    while state.n < config.max_steps:
-        want = oracle.midpoint(state.next_split)
-        values.append(step(state, oracle, config).value)
-        assert _bits(values[-1]) == _bits(want), state.n
-    _, trace = run(BrownianOracle(RngStream(86, int(lam))), config)
-    assert [row.value for row in trace] == values
-
-
-class _AskedBrownian(BrownianOracle):
-    # counts the midpoint calls and answers as the plain oracle does
-    def __init__(self, stream):
-        super().__init__(stream)
-        self.asked = 0
-
-    def midpoint(self, j):
-        self.asked += 1
-        return super().midpoint(j)
-
-
-@pytest.mark.parametrize("lam", [1.0, 8.0])
-def test_a_brownian_subclass_is_asked_once_per_split(lam):
-    # only a plain BrownianOracle is read from its normals: a subclass may
-    # override midpoint, so the search asks it, bootstrap split included
-    config = MinimizerConfig(lam=lam, max_steps=2000)
-    oracle = _AskedBrownian(RngStream(87, int(lam)))
-    _, trace = run(oracle, config)
-    assert oracle.asked == config.max_steps - 1
-    assert trace == run(BrownianOracle(RngStream(87, int(lam))), config)[1]
-
-
 class _AskedPath(PathOracle):
     # a custom oracle that records the gap of every midpoint call
     def __init__(self, fn):
@@ -484,8 +444,10 @@ def test_traces_differing_in_one_recorded_entry_are_unequal():
 
 
 def test_refused_split_leaves_the_state_as_it_was():
-    # a cap of 7 is reached on this path before n = 60
-    oracle = BrownianOracle(RngStream(83, 0))
+    # a cap of 7 is reached on this path at n = 35; the oracle's first
+    # block holds the 35 normals used by then, so a block drawn for the
+    # refused split would show
+    oracle = BrownianOracle(RngStream(83, 0), capacity=35)
     capped = MinimizerConfig(lam=1.0, max_steps=60, level_cap=7)
     state, first = init_state(oracle, capped)
     rows = [first]
@@ -493,7 +455,7 @@ def test_refused_split_leaves_the_state_as_it_was():
         while True:
             before = _state_bits(state)
             rows.append(step(state, oracle, capped))
-    assert state.n < 60
+    assert state.n == 35 == len(oracle._normals)
     assert _state_bits(state) == before
     assert state.skeleton.n == state.n == len(rows) + 1
     # no normal was used: stepping on under a higher cap is the fresh run
