@@ -40,7 +40,7 @@ sites = state.skeleton.site_floats()
 values = np.asarray(state.skeleton.values)
 argmin = int(np.argmin(values))
 print(f"discrete minimum {state.m_n:.6f} at t = {sites[argmin]:.6f}")
-print(f"smallest gap 2^-{state.skeleton.tau_level}")
+print(f"smallest gap 2^-{state.tau_level}")
 for lo, hi in [(0.0, 0.25), (0.25, 0.5), (0.5, 0.75), (0.75, 1.0)]:
     count = int(np.sum((sites >= lo) & (sites < hi)))
     print(f"  sites in [{lo:.2f}, {hi:.2f}): {count}")

@@ -128,7 +128,7 @@ def _canonical(numerator: int, level: int) -> DyadicPoint:
 
 
 class Skeleton:
-    """Observed values and gap levels in site order, plus cached summaries.
+    """Observed values and gap levels in site order, and the exact sites.
 
     The first site is always 0 with value 0.  :meth:`insert` adds the
     endpoint 1 once; every later site is the exact midpoint of a gap,
@@ -144,8 +144,8 @@ class Skeleton:
     gap j puts the new site (2k+1)/2^(L+1) at index j without any search.
     The site with id k is the k-th evaluation, so ids 0 and 1 are the
     sites 0 and 1.  A DyadicPoint is built only when a site is asked for.
-    The running minimum of the values and the smallest gap are maintained
-    incrementally.
+    The smallest value and the smallest gap are computed on demand, O(n);
+    a search keeps its own running copies of them.
 
     Values, levels and left-end ids are ``array.array`` buffers holding
     exactly their entries: a split is one ``insert`` (a single memmove)
@@ -155,8 +155,7 @@ class Skeleton:
     exported, a split raises BufferError.
     """
 
-    __slots__ = ("_values", "_gap_levels", "_gap_left", "_site_nums", "_site_levels",
-                 "_min_value", "_tau_level")
+    __slots__ = ("_values", "_gap_levels", "_gap_left", "_site_nums", "_site_levels")
 
     def __init__(self):
         self._values = array("d", [0.0])
@@ -165,8 +164,6 @@ class Skeleton:
         # the site table: every site once, in evaluation order, canonical
         self._site_nums = [0]
         self._site_levels = array("h", [0])
-        self._min_value = 0.0
-        self._tau_level: int | None = None
 
     @property
     def n(self) -> int:
@@ -175,14 +172,15 @@ class Skeleton:
 
     @property
     def min_value(self) -> float:
-        return self._min_value
+        """Smallest value; argmin's first index keeps site 0's 0.0 over -0.0."""
+        return self._values[np.frombuffer(self._values).argmin()]
 
     @property
     def tau_level(self) -> int:
         """Level k of the smallest gap 1/2^k.  Needs at least one gap."""
-        if self._tau_level is None:
+        if not self._gap_levels:
             raise ValueError("skeleton has no gaps yet")
-        return self._tau_level
+        return int(np.frombuffer(self._gap_levels, np.int16).max())
 
     @property
     def tau(self) -> float:
@@ -251,8 +249,6 @@ class Skeleton:
         self._gap_left.append(0)
         self._site_nums.append(1)
         self._site_levels.append(0)
-        self._min_value = min(self._min_value, value)
-        self._tau_level = 0
         return 1
 
     def split(self, j: int, value: float) -> None:
@@ -276,7 +272,3 @@ class Skeleton:
         self._gap_left.insert(j, len(nums))
         nums.append((nums[left] << (level - site_levels[left])) | 1)
         site_levels.append(level)
-        if value < self._min_value:
-            self._min_value = value
-        if level > self._tau_level:
-            self._tau_level = level

@@ -22,15 +22,16 @@ recomputation; one argmax per step gives both the largest score of the
 new state and the gap the next step splits.  The scores sit in an
 ``array.array`` in site order, like the skeleton's values, so the two
 new scores are one store and one insert.  A largest score that is NaN or
-infinite (a path with non-finite values, or an offset below half an ulp
-of M_n) raises FloatingPointError, with no NumPy warning before it:
+infinite (a NaN path value, or an offset below half an ulp of M_n)
+raises FloatingPointError, with no NumPy warning before it:
 argmax returns the first NaN, so checking the chosen score covers the
-whole array.
+whole array.  Gaps beside an infinite value score 0, so a step refuses
+an infinite scaled increment the same way.
 
 The per-path search is one loop, which :func:`step` runs for one split
-and :func:`run` for all the rest.  It keeps the scores, M_n, the tau
-level and the running scaled increment in locals, asks the oracle for
-each midpoint value and records it with ``Skeleton.split``: two
+and :func:`run` for all the rest.  It keeps the scores and the state's
+M_n, tau level and running scaled increment in locals, asks the oracle
+for each midpoint value and records it with ``Skeleton.split``: two
 Python-level calls per split, and no site object or trace row built on
 the way.  For :func:`run` it appends each state's new value, largest
 score and split gap to three ``array.array`` columns, which
@@ -151,29 +152,33 @@ class StepTrace(NamedTuple):
 
 
 class MinimizerState:
-    """Observation skeleton plus its per-gap split scores, kept current.
+    """Search state on an observation skeleton, kept current.
 
+    The state, like a row of :func:`search_block`, owns M_n (``m_n``),
+    the smallest gap's ``tau_level`` and ``max_scaled_increment``, the
+    running maximum of |v_i - v_{i-1}| / sqrt(gap_i) over every gap
+    created so far, a NumPy float64 gauging how rough the path is.
     ``scores`` equals ``split_scores(state, lam)`` for the configuration
     the state is stepped with; ``next_split`` is the 1-based gap the next
     step splits (the leftmost largest score) and ``rho_max`` that score.
-    ``max_scaled_increment`` is the running maximum of
-    |v_i - v_{i-1}| / sqrt(gap_i) over every gap created so far, a
-    diagnostic for how rough the observed path is, as a NumPy float64.
 
-    A state starts on a skeleton that holds f(1) only, as :func:`init_state`
-    builds it: its first step splits gap 1 unscored, so n != 1 raises ValueError.
-    Once the state exists, only :func:`step` and :func:`run` may add sites
-    to its skeleton.
+    A state starts on a skeleton that holds f(1) only, at M_1 = min(0, f(1)),
+    tau level 0 and increment |f(1)|; its first step splits gap 1 unscored,
+    so n != 1 raises ValueError.  Only :func:`step` and :func:`run` may
+    then add sites to its skeleton.
     """
 
-    __slots__ = ("skeleton", "max_scaled_increment", "next_split", "rho_max",
-                 "_scores", "_lam", "_shift", "_n")
+    __slots__ = ("skeleton", "m_n", "tau_level", "max_scaled_increment", "next_split",
+                 "rho_max", "_scores", "_lam", "_shift", "_n")
 
     def __init__(self, skeleton: Skeleton):
         if skeleton.n != 1:
             raise ValueError(f"a state starts at n = 1, got a skeleton with n = {skeleton.n}")
+        endpoint = skeleton._values[1]
         self.skeleton = skeleton
-        self.max_scaled_increment = np.float64(0.0)
+        self.m_n = min(0.0, endpoint)
+        self.tau_level = 0
+        self.max_scaled_increment = np.float64(abs(endpoint))  # |f(1) - f(0)| / sqrt(1)
         self.next_split = 1
         self.rho_max = math.nan
         self._scores = array("d")
@@ -184,10 +189,6 @@ class MinimizerState:
     @property
     def n(self) -> int:
         return self.skeleton.n
-
-    @property
-    def m_n(self) -> float:
-        return self.skeleton.min_value
 
     @property
     def scores(self) -> np.ndarray:
@@ -203,19 +204,19 @@ def _score(length, left, right, c):
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def split_scores(state: MinimizerState, lam: float) -> np.ndarray:
-    """Recompute all split scores of the current skeleton from scratch.
+    """Recompute every split score of the skeleton at the state's M_n and tau.
 
     Requires n >= 2 so that the smallest gap is below 1 and the offset is
     strictly positive; every score is then positive, and finite unless
     the offset is below half an ulp of M_n.
     """
     skel = state.skeleton
-    if skel.n < 2:
+    if state.n < 2:
         raise ValueError("split scores are defined from n = 2 on")
     # views of the buffers, gone with the call: the next split grows them
     values = np.frombuffer(skel._values)
     return _score(GAP_LENGTH.take(np.frombuffer(skel._gap_levels, np.int16)), values[:-1],
-                  values[1:], skel._min_value - _offset_table(lam)[skel._tau_level])
+                  values[1:], state.m_n - _offset_table(lam)[state.tau_level])
 
 
 def select_split(scores: np.ndarray) -> int:
@@ -234,9 +235,8 @@ def init_state(oracle: PathOracle, config: MinimizerConfig) -> tuple[MinimizerSt
     """
     if oracle.skeleton.n != 0:
         raise ValueError("oracle must be fresh (no evaluations yet)")
-    value = oracle.evaluate()
+    oracle.evaluate()
     state = MinimizerState(oracle.skeleton)
-    state.max_scaled_increment = np.float64(abs(value))  # |f(1) - f(0)| / sqrt(1)
     return state, step(state, oracle, config)
 
 
@@ -254,7 +254,7 @@ def step(state: MinimizerState, oracle: PathOracle, config: MinimizerConfig) -> 
     skel = state.skeleton
     n, rho_max = state._n, state.rho_max
     return StepTrace(n, j, _canonical(skel._site_nums[n], skel._site_levels[n]),
-                     skel._values[j], skel._min_value, skel._tau_level, rho_max,
+                     skel._values[j], state.m_n, state.tau_level, rho_max,
                      math.exp(-2.0 / rho_max))
 
 
@@ -275,11 +275,12 @@ def _search(state: MinimizerState, oracle: PathOracle, config: MinimizerConfig, 
     # The search loop behind step and run: split until the state holds
     # ``stop`` evaluations, appending each new state's value, largest score
     # and split gap to ``values``, ``rhos`` and ``splits`` when given.  The
-    # scores, M_n, the tau level and the running increment sit in locals.
+    # scores and the state's M_n, tau level and increment sit in locals.
     # A split asks oracle.midpoint for the value and records it with
     # Skeleton.split, the one writer of a skeleton.  With M_n, tau and lam
-    # unchanged it scores the two halves of the split gap; otherwise
-    # split_scores, looked up at call time, rescores every gap.
+    # unchanged it scores the two halves of the split gap; otherwise it
+    # stores M_n and tau in the state and split_scores, looked up at call
+    # time, rescores every gap.
     skel = state.skeleton
     vals = skel._values
     n = state._n
@@ -290,13 +291,14 @@ def _search(state: MinimizerState, oracle: PathOracle, config: MinimizerConfig, 
     levels = skel._gap_levels
     frombuffer = np.frombuffer
     isfinite = math.isfinite
+    inf = math.inf
     lengths = _GAP_LENGTHS
     spreads = _MIDPOINT_SDS  # sqrt(2^-L) / 2, so sqrt(2^-L) is exactly twice it
     scores = state._scores
     shift = state._shift
     stale = lam != state._lam
-    m = skel._min_value
-    tau = skel._tau_level
+    m = state.m_n
+    tau = state.tau_level
     increment_start = increment_max = float(state.max_scaled_increment)
     j = state.next_split
     rho = state.rho_max
@@ -330,6 +332,8 @@ def _search(state: MinimizerState, oracle: PathOracle, config: MinimizerConfig, 
                     m = value
                 if level > tau:
                     tau = level
+                state.m_n = m
+                state.tau_level = tau
                 scores = state._scores = array("d", split_scores(state, lam).tobytes())
                 shift = state._shift = m - _offset_table(lam)[tau]
                 state._lam = lam
@@ -340,6 +344,8 @@ def _search(state: MinimizerState, oracle: PathOracle, config: MinimizerConfig, 
 
             best = int(frombuffer(scores).argmax())
             top = scores[best]
+            if increment == inf:  # an infinite value scores 0 or NaN beside it
+                raise FloatingPointError(f"scaled increment inf of the split of gap {j} at n={n}")
             if not isfinite(top):
                 raise FloatingPointError(f"split score {top!r} of gap {best + 1} at n={n}")
             if values is not None:
@@ -379,7 +385,7 @@ class Trace(Sequence):
         self._splits = splits
         self._nums = skeleton._site_nums[2:stop]
         self._levels = skeleton._site_levels[2:stop]
-        # min(m, value) keeps m unless value < m, as the skeleton's update
+        # min(m, value) keeps m unless value < m, as the search's update
         self._m_n = list(accumulate(values, min, initial=min(0.0, skeleton._values[-1])))[1:]
         self._taus = np.maximum.accumulate(np.array(self._levels)).tolist()
 
@@ -573,12 +579,11 @@ class ScoreBoundCheck(NamedTuple):
 
 def check_score_bound(state: MinimizerState, config: MinimizerConfig) -> ScoreBoundCheck:
     """Evaluate the conditional bound on the current state (n >= 2)."""
-    skel = state.skeleton
-    n = len(skel._values) - 1
+    n = state._n
     if n < 2:
         raise ValueError("score bound check needs n >= 2")
     increment_bound = math.sqrt(config.lam * math.log(n) / 4.0)
-    score_bound = 2.0 / (config.lam * math.log(1.0 / _GAP_LENGTHS[skel._tau_level]))
+    score_bound = 2.0 / (config.lam * math.log(1.0 / _GAP_LENGTHS[state.tau_level]))
     rho_max = state.rho_max
     applicable = bool(state.max_scaled_increment <= increment_bound)
     if applicable and rho_max > score_bound:

@@ -261,7 +261,7 @@ def test_skeleton_random_midpoint_properties():
             assert skel.tau_level == prev_tau_level
         tau_levels.append(skel.tau_level)
 
-    # cached aggregates match recomputation from scratch
+    # the summaries computed on demand match a recomputation from scratch
     assert skel.min_value == min(skel.values)
     sites = skel.sites
     exact_gaps = [

@@ -320,9 +320,31 @@ def _stepped(oracle, config):
 def _state_bits(state):
     skel = state.skeleton
     return (skel.values.tobytes(), skel.gap_levels.tobytes(), skel.sites, skel.min_value,
-            skel.tau_level, state.scores.tobytes(), state.next_split,
-            _bits(state.rho_max), type(state.max_scaled_increment),
+            skel.tau_level, _bits(state.m_n), state.tau_level, state.scores.tobytes(),
+            state.next_split, _bits(state.rho_max), type(state.max_scaled_increment),
             float(state.max_scaled_increment).hex())
+
+
+@pytest.mark.parametrize("lam", [1.0, 8.0])
+def test_a_state_built_on_f1_steps_as_init_state_does(lam):
+    # MinimizerState(skeleton) holds M_1, the tau level and |f(1)| by
+    # itself: stepped, it equals the init_state + step state row for row,
+    # bound record for bound record and bit for bit
+    config = MinimizerConfig(lam=lam, max_steps=1000)
+    built_oracle = BrownianOracle(RngStream(1, 0))
+    built_oracle.evaluate()
+    built = MinimizerState(built_oracle.skeleton)
+    oracle = BrownianOracle(RngStream(1, 0))
+    state, row = init_state(oracle, config)
+    built_row = step(built, built_oracle, config)
+    while True:
+        assert [_bits(x) for x in built_row] == [_bits(x) for x in row], row.n
+        got, want = check_score_bound(built, config), check_score_bound(state, config)
+        assert [_bits(x) for x in got] == [_bits(x) for x in want], row.n
+        assert _state_bits(built) == _state_bits(state), row.n
+        if state.n == config.max_steps:
+            break
+        built_row, row = step(built, built_oracle, config), step(state, oracle, config)
 
 
 @pytest.mark.parametrize("make, lam, steps", [
@@ -345,6 +367,34 @@ def test_run_trace_equals_stepped_rows(make, lam, steps):
     assert _state_bits(run_state) == _state_bits(step_state)
     assert list(trace) == rows
     assert np.array_equal(trace.m_n, [row.m_n for row in rows])
+
+
+@pytest.mark.parametrize("make, lam, steps", [
+    (lambda: BrownianOracle(RngStream(85, 1)), 1.0, 2000),
+    (lambda: BrownianOracle(RngStream(85, 8)), 8.0, 2000),
+    (lambda: DeterministicOracle(piecewise([(0.0, 0.0), (0.3, -0.4), (0.5, 0.1), (1.0, -0.2)])),
+     2.0, 400),
+    (lambda: DeterministicOracle(lambda t: 0.0), 1.0, 400),
+], ids=["brownian-lam1", "brownian-lam8", "deterministic", "flat"])
+def test_m_n_and_tau_have_one_owner_the_state(make, lam, steps):
+    # the state alone keeps M_n and the tau level; the skeleton computes
+    # them from its observations on demand, and at every state, from the
+    # bare n = 1 state on, the two agree, as run's trace does
+    config = MinimizerConfig(lam=lam, max_steps=steps)
+    _, trace = run(make(), config)
+    oracle = make()
+    oracle.evaluate()
+    state = MinimizerState(oracle.skeleton)
+    skel = state.skeleton
+    m_n = []
+    while True:
+        assert _bits(state.m_n) == _bits(skel.min_value), state.n
+        assert state.tau_level == skel.tau_level, state.n
+        if state.n == steps:
+            break
+        step(state, oracle, config)
+        m_n.append(state.m_n)
+    assert [_bits(m) for m in m_n] == [_bits(m) for m in trace.m_n.tolist()]
 
 
 @pytest.mark.parametrize("make, lam", [
@@ -480,6 +530,20 @@ def test_a_non_finite_split_is_recorded_before_the_refusal():
             step(state, oracle, config)
     assert skel.n == n + 1
     assert DyadicPoint(3, 2) in skel.sites and np.isnan(skel.values).sum() == 1
+
+
+@pytest.mark.parametrize("site, value, n", [
+    (1.0, math.inf, 2), (0.5, math.inf, 2), (0.75, -math.inf, 4)])
+def test_an_infinite_path_value_is_refused(site, value, n):
+    # gaps beside an infinite value score 0 or NaN, not inf: the step that
+    # meets the value, or starts from f(1) = inf, records it and refuses
+    # its infinite scaled increment, as a NaN value is refused by its score
+    oracle = DeterministicOracle(lambda t: value if t == site else 0.3 * t)
+    with pytest.raises(FloatingPointError, match="scaled increment inf"):
+        run(oracle, MinimizerConfig(lam=1.0, max_steps=50))
+    skel = oracle.skeleton
+    assert skel.n == n and skel.values.tolist().count(value) == 1
+    assert float(skel.sites[skel.values.tolist().index(value)]) == site
 
 
 def test_trace_undershoot_consistent():
