@@ -88,9 +88,8 @@ ZERO = DyadicPoint(0, 0)
 ONE = DyadicPoint(1, 0)
 
 
-def midpoint(
-    left: DyadicPoint, right: DyadicPoint, level_cap: int | None = DEFAULT_LEVEL_CAP
-) -> DyadicPoint:
+def midpoint(left: DyadicPoint, right: DyadicPoint,
+             level_cap: int = DEFAULT_LEVEL_CAP) -> DyadicPoint:
     """Exact midpoint of a dyadic interval whose length is a power of two.
 
     For an aligned interval [k/2^m, (k+1)/2^m] the result is (2k+1)/2^(m+1).
@@ -107,7 +106,7 @@ def midpoint(
     if d & (d - 1):
         raise ValueError(f"gap between {left} and {right} is not a power of two")
     mid = DyadicPoint(a + b, level + 1)
-    if level_cap is not None and mid.level > level_cap:
+    if mid.level > level_cap:
         raise DepthExceededError(
             f"midpoint of ({left}, {right}) needs level {mid.level} > cap {level_cap}"
         )

@@ -229,13 +229,12 @@ def select_split(scores: np.ndarray) -> int:
 def init_state(oracle: PathOracle, config: MinimizerConfig) -> tuple[MinimizerState, StepTrace]:
     """Run the nonadaptive start (sites 1 and 1/2) on a fresh oracle.
 
-    Returns the state after two evaluations together with its trace row;
-    the bootstrap midpoint 1/2 is the first step, splitting the single gap
-    [0, 1].
+    Records f(1) with ``Skeleton.insert``, which refuses an oracle whose
+    skeleton has grown, and returns the state after two evaluations
+    together with its trace row; the bootstrap midpoint 1/2 is the first
+    step, splitting the single gap [0, 1].
     """
-    if oracle.skeleton.n != 0:
-        raise ValueError("oracle must be fresh (no evaluations yet)")
-    oracle.evaluate()
+    oracle.skeleton.insert(oracle.evaluate())
     state = MinimizerState(oracle.skeleton)
     return state, step(state, oracle, config)
 
@@ -445,14 +444,18 @@ def search_block(normals: np.ndarray, lam: float, level_cap: int) -> BlockResult
     :class:`~brownmin.oracle.BrownianOracle` does, recording M_n at every n.
     A row that needs a split deeper than ``level_cap`` is marked in
     ``capped`` where the per-path search raises DepthExceededError.  A
-    non-finite largest score in any row raises FloatingPointError, as
-    :func:`step` does.
+    non-finite normal, or a non-finite largest score in any row, raises
+    FloatingPointError, as :func:`step` does on such a path.
     """
     normals = np.asarray(normals, dtype=float)
     if normals.ndim != 2:
         raise ValueError("normals must be an (R, N) array")
     rows_count, n_max = normals.shape
     MinimizerConfig(lam=lam, max_steps=n_max, level_cap=level_cap)  # validates all three
+    if not np.isfinite(normals).all():
+        row, k = np.argwhere(~np.isfinite(normals))[0]
+        raise FloatingPointError(f"non-finite normal {float(normals[row, k])} in row {row}, "
+                                 f"column {k}")
 
     # lengths and midpoint spreads come from the dyadic tables
     offset = np.array(_offset_table(lam))

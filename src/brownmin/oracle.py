@@ -1,16 +1,14 @@
 """Function evaluation oracles over [0, 1] with f(0) = 0.
 
-A path oracle is observed the way the adaptive search observes a path:
-``evaluate()`` gives the endpoint f(1) once, on a fresh oracle, and
-records it in the oracle's :class:`~brownmin.dyadic.Skeleton`; every
-later site is the midpoint of a known gap, whose value
-:meth:`PathOracle.midpoint` answers with the gap's index and the caller
-records with ``Skeleton.split``, as the search does;
-:meth:`PathOracle.split` answers and records in one call, for code
-outside a search.  The Brownian oracle materialises a Brownian path
-lazily: W(1) is drawn unconditionally and every midpoint is drawn from
-the exact bridge law between its two neighbours, so the conditional law
-given the skeleton is exact at every step.
+A path oracle answers values and records none: ``evaluate()`` gives the
+endpoint f(1) and :meth:`PathOracle.midpoint` the value at the midpoint
+of a gap of the oracle's :class:`~brownmin.dyadic.Skeleton`, named by
+the gap's index.  The caller records each value, f(1) with
+``Skeleton.insert`` and every later one with ``Skeleton.split``, as the
+search does.  The Brownian oracle materialises a Brownian path lazily:
+W(1) is drawn unconditionally and every midpoint is drawn from the exact
+bridge law between its two neighbours, so the conditional law given the
+skeleton is exact at every step.
 """
 
 from __future__ import annotations
@@ -26,30 +24,23 @@ from .rng import RngStream
 
 
 class PathOracle(abc.ABC):
-    """Evaluation contract, with f(0) = 0: ``evaluate()`` once, then
-    values at gap midpoints only.  ``evaluate`` records its value in
-    ``skeleton``; ``midpoint`` answers without recording, and the caller
-    records the value with ``skeleton.split``."""
+    """Evaluation contract, with f(0) = 0: the value at the endpoint 1,
+    then values at gap midpoints of ``skeleton`` only.  Both methods are
+    queries: neither writes the skeleton, and the caller records each
+    value with ``skeleton.insert`` or ``skeleton.split``."""
 
     skeleton: Skeleton
 
     @abc.abstractmethod
     def evaluate(self) -> float:
-        """Value at the endpoint 1 of a fresh oracle, recorded in the
-        skeleton.  A second call raises ValueError."""
+        """Value at the endpoint 1, not recorded; asking again gives the
+        same value."""
 
     @abc.abstractmethod
     def midpoint(self, j: int) -> float:
         """Value at the midpoint of gap j (1-based) of the skeleton, not
         recorded.  Until the skeleton changes, asking again gives the same
         value; an index with no gap raises IndexError."""
-
-    def split(self, j: int) -> float:
-        """Evaluate the midpoint of gap j, insert it into the skeleton at
-        index j and return its value."""
-        value = self.midpoint(j)
-        self.skeleton.split(j, value)
-        return value
 
 
 class BrownianOracle(PathOracle):
@@ -86,9 +77,7 @@ class BrownianOracle(PathOracle):
         return self._normals
 
     def evaluate(self) -> float:
-        value = self._draw(0)[0]
-        self.skeleton.insert(value)  # refuses a second call
-        return value
+        return self._draw(0)[0]
 
     def midpoint(self, j: int) -> float:
         # midpoint of a gap of level L between values a and b: mean
@@ -117,9 +106,7 @@ class DeterministicOracle(PathOracle):
         self.skeleton = Skeleton()
 
     def evaluate(self) -> float:
-        value = float(self.fn(1.0))
-        self.skeleton.insert(value)  # refuses a second call
-        return value
+        return float(self.fn(1.0))
 
     def midpoint(self, j: int) -> float:
         return float(self.fn(float(self.skeleton.gap_midpoint(j))))

@@ -543,15 +543,17 @@ def test_block_records_m_n_at_every_n_like_the_per_path_search(lam):
         assert block.m_n[row].tobytes() == run(oracle, config)[1].m_n.tobytes()
 
 
-@pytest.mark.parametrize("column", [40, 63])
+@pytest.mark.parametrize("column", [0, 40, 63])
 def test_search_block_refuses_a_non_finite_score(column):
-    # one NaN normal gives one NaN value, whose two gaps score NaN; a NaN
-    # in the last column shows only in the final state
+    # a NaN or infinite normal is refused on entry, wherever it sits: the
+    # gaps beside an infinite value score 0, so no score check would see it
     normals = np.random.default_rng(3).standard_normal((4, 64))
     search_block(normals, 1.0, 1000)
-    normals[2, column] = math.nan
-    with pytest.raises(FloatingPointError):
-        search_block(normals, 1.0, 1000)
+    for bad in (math.nan, math.inf, -math.inf):
+        normals[2, column] = bad
+        with pytest.raises(FloatingPointError, match=f"non-finite normal {bad} in row 2, "
+                                                     f"column {column}"):
+            search_block(normals, 1.0, 1000)
 
 
 def test_run_experiment_equidistant():

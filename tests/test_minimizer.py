@@ -294,7 +294,7 @@ def test_step_refuses_a_skeleton_changed_outside_step():
     config = MinimizerConfig(lam=1.0, max_steps=10)
     oracle = BrownianOracle(RngStream(53, 0))
     state, _ = init_state(oracle, config)
-    oracle.split(1)  # kept scores no longer match
+    oracle.skeleton.split(1, oracle.midpoint(1))  # kept scores no longer match
     with pytest.raises(ValueError):
         step(state, oracle, config)
     other = BrownianOracle(RngStream(53, 1))
@@ -332,7 +332,7 @@ def test_a_state_built_on_f1_steps_as_init_state_does(lam):
     # bound record for bound record and bit for bit
     config = MinimizerConfig(lam=lam, max_steps=1000)
     built_oracle = BrownianOracle(RngStream(1, 0))
-    built_oracle.evaluate()
+    built_oracle.skeleton.insert(built_oracle.evaluate())
     built = MinimizerState(built_oracle.skeleton)
     oracle = BrownianOracle(RngStream(1, 0))
     state, row = init_state(oracle, config)
@@ -383,7 +383,7 @@ def test_m_n_and_tau_have_one_owner_the_state(make, lam, steps):
     config = MinimizerConfig(lam=lam, max_steps=steps)
     _, trace = run(make(), config)
     oracle = make()
-    oracle.evaluate()
+    oracle.skeleton.insert(oracle.evaluate())
     state = MinimizerState(oracle.skeleton)
     skel = state.skeleton
     m_n = []
@@ -429,9 +429,7 @@ class _AskedPath(PathOracle):
         self.asked = []
 
     def evaluate(self):
-        value = self.fn(1.0)
-        self.skeleton.insert(value)
-        return value
+        return self.fn(1.0)
 
     def midpoint(self, j):
         self.asked.append(j)
@@ -663,9 +661,9 @@ def test_a_state_starts_on_the_endpoint_alone():
     # on sites 0, 1/2, 3/4, 1 the largest score is gap 3's, yet a state
     # built there split gap 1, its first step's unscored choice
     oracle = DeterministicOracle(lambda t: -t if t > 0.6 else 0.5 * t)
-    oracle.evaluate()
-    oracle.split(1)
-    oracle.split(2)
+    oracle.skeleton.insert(oracle.evaluate())
+    for j in (1, 2):
+        oracle.skeleton.split(j, oracle.midpoint(j))
     assert [str(s) for s in oracle.skeleton.sites] == ["0/2^0", "1/2^1", "3/2^2", "1/2^0"]
     for skeleton in (oracle.skeleton, Skeleton()):
         with pytest.raises(ValueError, match="starts at n = 1"):
@@ -675,9 +673,10 @@ def test_a_state_starts_on_the_endpoint_alone():
 
 def test_init_state_needs_a_fresh_oracle():
     oracle = DeterministicOracle(lambda t: t)
-    oracle.evaluate()
-    with pytest.raises(ValueError, match="must be fresh"):
+    oracle.skeleton.insert(oracle.evaluate())
+    with pytest.raises(ValueError, match="to a fresh skeleton"):
         init_state(oracle, MinimizerConfig(lam=1.0, max_steps=2))
+    assert oracle.skeleton.values.tolist() == [0.0, 1.0]
 
 
 def test_level_cap_propagates():

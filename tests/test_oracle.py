@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from brownmin.dyadic import MAX_LEVEL_CAP, ZERO, DepthExceededError, DyadicPoint, Skeleton
-from brownmin.minimizer import MinimizerConfig, run
+from brownmin.minimizer import MinimizerConfig, init_state, run
 from brownmin.oracle import (
     BrownianOracle,
     DeterministicOracle,
@@ -28,16 +28,16 @@ def test_zero_site_is_always_zero():
     oracle = BrownianOracle(RngStream(12, 0))
     skel = oracle.skeleton
     assert skel.site(0) == ZERO and skel.values[0] == 0.0
-    oracle.evaluate()
+    skel.insert(oracle.evaluate())
     for _ in range(5):
-        oracle.split(1)
+        skel.split(1, oracle.midpoint(1))
     assert skel.site(0) == ZERO and skel.values[0] == 0.0
 
 
 def test_interior_before_endpoint_rejected():
     oracle = BrownianOracle(RngStream(13, 0))
     with pytest.raises(IndexError):
-        oracle.split(1)  # no gap before the endpoint
+        oracle.midpoint(1)  # no gap before the endpoint
     assert oracle.skeleton.n == 0
     assert oracle.evaluate() == RngStream(13, 0).gaussian()
 
@@ -46,17 +46,23 @@ def test_interior_before_endpoint_rejected():
     lambda: BrownianOracle(RngStream(17, 0)),
     lambda: DeterministicOracle(lambda t: t * (1.0 - t) - t),
 ], ids=["brownian", "deterministic"])
-def test_evaluate_takes_only_the_endpoint_once(make):
+def test_evaluate_answers_the_endpoint_and_records_nothing(make):
+    # asked again, evaluate gives the same f(1) and leaves the skeleton
+    # fresh; the skeleton takes the endpoint once, and the repeated
+    # queries and the refused insert leave the next midpoint as it was
     oracle, reference = make(), make()
     skel = oracle.skeleton
-    assert oracle.evaluate() == reference.evaluate()
+    value = oracle.evaluate()
     for _ in range(3):
-        with pytest.raises(ValueError):
-            oracle.evaluate()
+        assert oracle.evaluate() == value
+        assert skel.n == 0
+    skel.insert(value)
+    reference.skeleton.insert(reference.evaluate())
+    assert oracle.evaluate() == value == reference.skeleton.values[1]
+    with pytest.raises(ValueError, match="to a fresh skeleton"):
+        skel.insert(value)
     assert skel.n == 1 and skel.gap_levels.tolist() == [0]
-    # the refused calls left the next split as it was
-    assert oracle.split(1) == reference.split(1)
-    assert np.array_equal(skel.values, reference.skeleton.values)
+    assert oracle.midpoint(1) == reference.midpoint(1)
 
 
 def test_midpoint_draw_uses_bridge_law():
@@ -66,7 +72,9 @@ def test_midpoint_draw_uses_bridge_law():
     oracle = BrownianOracle(RngStream(14, 0))
     w1 = oracle.evaluate()
     assert w1 == z1
-    w_half = oracle.split(1)
+    oracle.skeleton.insert(w1)
+    w_half = oracle.midpoint(1)
+    oracle.skeleton.split(1, w_half)
     assert oracle.skeleton.site(1) == HALF
     assert w_half == pytest.approx(0.5 * w1 + 0.5 * z2, rel=1e-15)
 
@@ -95,22 +103,24 @@ def test_midpoint_draw_keeps_its_spread_at_depth():
     z = RngStream(19, 0).gaussians(MAX_LEVEL_CAP + 2)
     oracle = BrownianOracle(RngStream(19, 0))
     skel = oracle.skeleton
-    oracle.evaluate()
+    skel.insert(oracle.evaluate())
     for level in range(MAX_LEVEL_CAP):
         b = skel.values[1]  # at the site 2^-level
-        value = oracle.split(1)  # midpoint of (0, 2^-level)
+        value = oracle.midpoint(1)  # midpoint of (0, 2^-level)
+        skel.split(1, value)
         assert skel.site(1) == DyadicPoint(1, level + 1)
         deviation = value - (0.0 + 0.5 * (b - 0.0))
         assert deviation != 0.0
         assert deviation == pytest.approx(0.5 * math.sqrt(2.0**-level) * z[level + 1], rel=1e-9)
     assert skel.gap_lengths[0] == skel.tau == 2.0**-1023
     with pytest.raises(DepthExceededError):
-        oracle.split(1)  # no table entry deeper than the cap
+        skel.split(1, oracle.midpoint(1))  # no table entry deeper than the cap
     assert skel.n == MAX_LEVEL_CAP + 1
     # the refused split used no normal: the next new site takes the next one
     last = len(skel) - 1  # the gap (1/2, 1)
     a, b = skel.values[last - 1], skel.values[last]
-    value = oracle.split(last)
+    value = oracle.midpoint(last)
+    skel.split(last, value)
     assert skel.site(last) == DyadicPoint(3, 2)
     assert value == a + 0.5 * (b - a) + 0.5 * math.sqrt(0.5) * z[MAX_LEVEL_CAP + 1]
 
@@ -118,22 +128,25 @@ def test_midpoint_draw_keeps_its_spread_at_depth():
 def test_refused_calls_use_no_normal():
     oracle = BrownianOracle(RngStream(15, 0))
     reference = BrownianOracle(RngStream(15, 0))
-    skel = oracle.skeleton
+    skel, ref = oracle.skeleton, reference.skeleton
     for j in (0, 1):  # a fresh skeleton has no gap
         with pytest.raises(IndexError):
-            oracle.split(j)
+            oracle.midpoint(j)
     assert skel.n == 0
-    assert oracle.evaluate() == reference.evaluate()
-    assert oracle.split(1) == reference.split(1)
+    skel.insert(oracle.evaluate())
+    ref.insert(reference.evaluate())
+    skel.split(1, oracle.midpoint(1))
+    ref.split(1, reference.midpoint(1))
     values, levels = skel.values, skel.gap_levels
     for j in (0, len(skel), -1):
         with pytest.raises(IndexError):
-            oracle.split(j)
+            oracle.midpoint(j)
         assert np.array_equal(skel.values, values)
         assert np.array_equal(skel.gap_levels, levels)
     # the next valid split takes the normal of an oracle that saw no bad call
-    assert oracle.split(1) == reference.split(1)
-    assert np.array_equal(skel.values, reference.skeleton.values)
+    skel.split(1, oracle.midpoint(1))
+    ref.split(1, reference.midpoint(1))
+    assert np.array_equal(skel.values, ref.values)
 
 
 @pytest.mark.parametrize("make", [
@@ -142,17 +155,20 @@ def test_refused_calls_use_no_normal():
 ], ids=["brownian", "deterministic"])
 def test_midpoint_answers_without_recording(make):
     # asked twice, midpoint gives the same value, records nothing and uses
-    # no normal: the split after it takes the value, as on an oracle that
-    # was never asked; past 8 sites the Brownian oracle draws a new block
+    # no normal: the value recorded after it is the one an oracle that was
+    # asked once gives; past 8 sites the Brownian oracle draws a new block
     oracle, reference = make(), make()
-    skel = oracle.skeleton
-    assert oracle.evaluate() == reference.evaluate()
+    skel, ref = oracle.skeleton, reference.skeleton
+    skel.insert(oracle.evaluate())
+    ref.insert(reference.evaluate())
     for j in (1, 1, 2, 3, 1, 5, 4, 2, 8, 9, 3, 11, 1):
         values, levels = skel.values, skel.gap_levels
         value = oracle.midpoint(j)
         assert oracle.midpoint(j) == value
         assert np.array_equal(skel.values, values) and np.array_equal(skel.gap_levels, levels)
-        assert oracle.split(j) == value == reference.split(j)
+        skel.split(j, value)
+        ref.split(j, reference.midpoint(j))
+        assert ref.values[j] == value
     for j in (0, len(skel), -1):
         with pytest.raises(IndexError):
             oracle.midpoint(j)
@@ -160,9 +176,9 @@ def test_midpoint_answers_without_recording(make):
 
 def test_skeleton_reflects_evaluations():
     oracle = BrownianOracle(RngStream(16, 0))
-    oracle.evaluate()
-    oracle.split(1)
-    oracle.split(1)
+    oracle.skeleton.insert(oracle.evaluate())
+    oracle.skeleton.split(1, oracle.midpoint(1))
+    oracle.skeleton.split(1, oracle.midpoint(1))
     assert [str(s) for s in oracle.skeleton.sites] == [
         "0/2^0", "1/2^2", "1/2^1", "1/2^0",
     ]
@@ -179,7 +195,8 @@ def test_nonadaptive_increments_are_standard_normal():
     for rep in range(n_reps):
         oracle = BrownianOracle(RngStream(777, rep))
         v1 = oracle.evaluate()
-        vh = oracle.split(1)
+        oracle.skeleton.insert(v1)
+        vh = oracle.midpoint(1)
         w1[rep] = v1
         left[rep] = vh / root_half
         right[rep] = (v1 - vh) / root_half
@@ -190,7 +207,9 @@ def test_nonadaptive_increments_are_standard_normal():
 def test_deterministic_oracle_example():
     oracle = DeterministicOracle(lambda t: (t - 1.0 / 3.0) ** 2 - 1.0 / 9.0)
     assert oracle.evaluate() == pytest.approx(1.0 / 3.0, rel=1e-15)
-    value = oracle.split(1)
+    oracle.skeleton.insert(oracle.evaluate())
+    value = oracle.midpoint(1)
+    oracle.skeleton.split(1, value)
     assert value == pytest.approx((1.0 / 6.0) ** 2 - 1.0 / 9.0, rel=1e-15)
     assert value == pytest.approx(-1.0 / 12.0, rel=1e-15)
     # pure function of t, recorded in the skeleton at the site 1/2
@@ -204,23 +223,26 @@ def test_deterministic_oracle_requires_zero_at_origin():
 
 def test_deterministic_oracle_splits_exactly_to_the_level_cap():
     oracle = DeterministicOracle(lambda t: t * (1.0 - t))
-    oracle.evaluate()
-    for j in (1, 1, 2):  # 1/2, 1/4, then 3/8
-        oracle.split(j)
     skel = oracle.skeleton
+    skel.insert(oracle.evaluate())
+    for j in (1, 1, 2):  # 1/2, 1/4, then 3/8
+        skel.split(j, oracle.midpoint(j))
     assert [str(s) for s in skel.sites] == ["0/2^0", "1/2^2", "3/2^3", "1/2^1", "1/2^0"]
     assert skel.values[2] == pytest.approx(0.375 * 0.625, rel=1e-15)
     # down to the deepest level every site and value is exact
     deep = DeterministicOracle(lambda t: t)
-    deep.evaluate()
+    skel = deep.skeleton
+    skel.insert(deep.evaluate())
     for level in range(1, MAX_LEVEL_CAP + 1):
-        assert deep.split(1) == 2.0**-level
-        assert deep.skeleton.site(1) == DyadicPoint(1, level)
-    assert deep.skeleton.values[1] == 2.0**-1023
-    assert deep.skeleton.n == MAX_LEVEL_CAP + 1
+        value = deep.midpoint(1)
+        assert value == 2.0**-level
+        skel.split(1, value)
+        assert skel.site(1) == DyadicPoint(1, level)
+    assert skel.values[1] == 2.0**-1023
+    assert skel.n == MAX_LEVEL_CAP + 1
     with pytest.raises(DepthExceededError):
-        deep.split(1)  # one level past the cap
-    assert deep.skeleton.n == MAX_LEVEL_CAP + 1
+        skel.split(1, deep.midpoint(1))  # one level past the cap
+    assert skel.n == MAX_LEVEL_CAP + 1
 
 
 def test_user_oracle_with_evaluate_and_midpoint_can_be_searched():
@@ -232,26 +254,40 @@ def test_user_oracle_with_evaluate_and_midpoint_can_be_searched():
             self.skeleton = Skeleton()
 
         def evaluate(self):
-            value = fn(1.0)
-            self.skeleton.insert(value)
-            return value
+            return fn(1.0)
 
         def midpoint(self, j):
             return fn(float(self.skeleton.gap_midpoint(j)))
 
     config = MinimizerConfig(lam=1.0, max_steps=40)
     assert run(Quadratic(), config)[1] == run(DeterministicOracle(fn), config)[1]
-    # split, inherited, answers with midpoint and records the value
-    oracle = Quadratic()
-    oracle.evaluate()
-    assert oracle.split(1) == fn(0.5) == oracle.skeleton.values[1]
 
-    # midpoint is part of the contract: an oracle without it cannot be made
+    # the contract is the two queries and nothing more: an oracle without
+    # midpoint cannot be made, and no method writes the skeleton for it
+    assert PathOracle.__abstractmethods__ == {"evaluate", "midpoint"}
+    assert not hasattr(PathOracle, "split")
+
     class EvaluateOnly(PathOracle):
         evaluate = Quadratic.evaluate
 
     with pytest.raises(TypeError):
         EvaluateOnly()
+
+
+def test_an_oracle_that_records_its_endpoint_is_refused():
+    # an evaluate that still inserts f(1) itself leaves init_state a grown
+    # skeleton, which Skeleton.insert refuses: never a doubled endpoint
+    class Recording(DeterministicOracle):
+        def evaluate(self):
+            value = super().evaluate()
+            self.skeleton.insert(value)
+            return value
+
+    for search in (init_state, run):
+        oracle = Recording(lambda t: t * (t - 0.6))
+        with pytest.raises(ValueError, match="to a fresh skeleton"):
+            search(oracle, MinimizerConfig(lam=1.0, max_steps=10))
+        assert oracle.skeleton.values.tolist() == [0.0, 0.4]
 
 
 def test_grid_reference_min_examples():
