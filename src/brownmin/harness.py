@@ -32,7 +32,6 @@ neither the block size nor the worker count.
 
 from __future__ import annotations
 
-import csv
 import math
 import operator
 import os
@@ -393,18 +392,9 @@ def write_errors_csv(estimates: list[ErrorEstimate], path) -> None:
     """Write estimates as CSV with columns algorithm, lambda, p, n, R,
     lp_error, std_pth_power, dropped_replications (17 significant digit
     floats, empty lambda for the equidistant rule)."""
+    header = "algorithm,lambda,p,n,R,lp_error,std_pth_power,dropped_replications"
+    rows = ["%s,%s,%.17g,%d,%d,%.17g,%.17g,%d" % (
+        est.algorithm, "" if est.lam is None else "%.17g" % est.lam, est.p, est.n,
+        est.replications, est.lp_error, est.std_pth_power, est.dropped) for est in estimates]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["algorithm", "lambda", "p", "n", "R", "lp_error",
-                         "std_pth_power", "dropped_replications"])
-        for est in estimates:
-            writer.writerow([
-                est.algorithm,
-                "" if est.lam is None else f"{est.lam:.17g}",
-                f"{est.p:.17g}",
-                str(est.n),
-                str(est.replications),
-                f"{est.lp_error:.17g}",
-                f"{est.std_pth_power:.17g}",
-                str(est.dropped),
-            ])
+        fh.write("\r\n".join([header, *rows, ""]))

@@ -165,7 +165,9 @@ class MinimizerState:
     A state starts on a skeleton that holds f(1) only, at M_1 = min(0, f(1)),
     tau level 0 and increment |f(1)|; its first step splits gap 1 unscored,
     so n != 1 raises ValueError.  Only :func:`step` and :func:`run` may
-    then add sites to its skeleton.
+    then add sites to its skeleton.  A step that raises FloatingPointError
+    finishes the state: only its skeleton, which holds the refused value,
+    is meaningful, and every later step raises ValueError.
     """
 
     __slots__ = ("skeleton", "m_n", "tau_level", "max_scaled_increment", "next_split",
@@ -245,8 +247,10 @@ def step(state: MinimizerState, oracle: PathOracle, config: MinimizerConfig) -> 
     One pass of the search loop that :func:`run` runs to the end, so a
     state stepped to n equals the state run to n bit for bit.  A split
     deeper than the level cap raises DepthExceededError and leaves the
-    state, its skeleton and the oracle as they were.  The row's site is
-    read from the skeleton's site table by its id n.
+    state, its skeleton and the oracle as they were; a non-finite score
+    or increment raises FloatingPointError once the value is recorded
+    and finishes the state.  The row's site is read from the skeleton's
+    site table by its id n.
     """
     j = state.next_split
     _search(state, oracle, config, state._n + 1)
@@ -279,12 +283,13 @@ def _search(state: MinimizerState, oracle: PathOracle, config: MinimizerConfig, 
     # Skeleton.split, the one writer of a skeleton.  With M_n, tau and lam
     # unchanged it scores the two halves of the split gap; otherwise it
     # stores M_n and tau in the state and split_scores, looked up at call
-    # time, rescores every gap.
+    # time, rescores every gap.  The state's n is written after the loop,
+    # so a split refused once recorded leaves n behind the skeleton.
     skel = state.skeleton
     vals = skel._values
     n = state._n
     if oracle.skeleton is not skel or len(vals) - 1 != n:
-        raise ValueError("the state's skeleton was changed outside step")
+        raise ValueError("the state ended at a non-finite split or was changed outside step")
     lam = config.lam
     cap = config.level_cap
     levels = skel._gap_levels
@@ -301,64 +306,62 @@ def _search(state: MinimizerState, oracle: PathOracle, config: MinimizerConfig, 
     increment_start = increment_max = float(state.max_scaled_increment)
     j = state.next_split
     rho = state.rho_max
-    try:
-        while n < stop:
-            g = j - 1
-            level = levels[g] + 1
-            if level > cap:
-                raise DepthExceededError(
-                    f"midpoint of ({skel.site(g)}, {skel.site(j)}) needs level {level} "
-                    f"> cap {cap}"
-                )
-            a = vals[g]
-            b = vals[j]
-            value = oracle.midpoint(j)
-            skel.split(j, value)
-            n += 1
-            half = lengths[level]
-            # max(|value - a|, |b - value|) / sqrt(half), without the calls
-            rise = value - a
-            if rise < 0.0:
-                rise = -rise
-            fall = b - value
-            if fall < 0.0:
-                fall = -fall
-            increment = (fall if fall > rise else rise) / (2.0 * spreads[level])
-            if increment > increment_max:
-                increment_max = increment
-            if value < m or level > tau or stale:
-                if value < m:
-                    m = value
-                if level > tau:
-                    tau = level
-                state.m_n = m
-                state.tau_level = tau
-                scores = state._scores = array("d", split_scores(state, lam).tobytes())
-                shift = state._shift = m - _offset_table(lam)[tau]
-                state._lam = lam
-                stale = False
-            else:
-                scores[g] = half / ((a - shift) * (value - shift))  # _score
-                scores.insert(j, half / ((value - shift) * (b - shift)))
+    while n < stop:
+        g = j - 1
+        level = levels[g] + 1
+        if level > cap:
+            raise DepthExceededError(
+                f"midpoint of ({skel.site(g)}, {skel.site(j)}) needs level {level} "
+                f"> cap {cap}"
+            )
+        a = vals[g]
+        b = vals[j]
+        value = oracle.midpoint(j)
+        skel.split(j, value)
+        n += 1
+        half = lengths[level]
+        # max(|value - a|, |b - value|) / sqrt(half), without the calls
+        rise = value - a
+        if rise < 0.0:
+            rise = -rise
+        fall = b - value
+        if fall < 0.0:
+            fall = -fall
+        increment = (fall if fall > rise else rise) / (2.0 * spreads[level])
+        if increment > increment_max:
+            increment_max = increment
+        if value < m or level > tau or stale:
+            if value < m:
+                m = value
+            if level > tau:
+                tau = level
+            state.m_n = m
+            state.tau_level = tau
+            scores = state._scores = array("d", split_scores(state, lam).tobytes())
+            shift = state._shift = m - _offset_table(lam)[tau]
+            state._lam = lam
+            stale = False
+        else:
+            scores[g] = half / ((a - shift) * (value - shift))  # _score
+            scores.insert(j, half / ((value - shift) * (b - shift)))
 
-            best = int(frombuffer(scores).argmax())
-            top = scores[best]
-            if increment == inf:  # an infinite value scores 0 or NaN beside it
-                raise FloatingPointError(f"scaled increment inf of the split of gap {j} at n={n}")
-            if not isfinite(top):
-                raise FloatingPointError(f"split score {top!r} of gap {best + 1} at n={n}")
-            if values is not None:
-                values.append(value)
-                rhos.append(top)
-                splits.append(j)  # the gap this pass split
-            j = best + 1
-            rho = top
-    finally:
-        state._n = n
-        state.next_split = j
-        state.rho_max = rho
-        if increment_max != increment_start:  # a NumPy float64, as documented
-            state.max_scaled_increment = np.float64(increment_max)
+        best = int(frombuffer(scores).argmax())
+        top = scores[best]
+        if increment == inf:  # an infinite value scores 0 or NaN beside it
+            raise FloatingPointError(f"scaled increment inf of the split of gap {j} at n={n}")
+        if not isfinite(top):
+            raise FloatingPointError(f"split score {top!r} of gap {best + 1} at n={n}")
+        if values is not None:
+            values.append(value)
+            rhos.append(top)
+            splits.append(j)  # the gap this pass split
+        j = best + 1
+        rho = top
+    state._n = n
+    state.next_split = j
+    state.rho_max = rho
+    if increment_max != increment_start:  # a NumPy float64, as documented
+        state.max_scaled_increment = np.float64(increment_max)
 
 
 class Trace(Sequence):
@@ -581,8 +584,11 @@ class ScoreBoundCheck(NamedTuple):
 
 
 def check_score_bound(state: MinimizerState, config: MinimizerConfig) -> ScoreBoundCheck:
-    """Evaluate the conditional bound on the current state (n >= 2)."""
+    """Evaluate the conditional bound on the current state (n >= 2); a
+    state finished by a non-finite split raises ValueError, as in step."""
     n = state._n
+    if len(state.skeleton._values) - 1 != n:
+        raise ValueError("the state ended at a non-finite split or was changed outside step")
     if n < 2:
         raise ValueError("score bound check needs n >= 2")
     increment_bound = math.sqrt(config.lam * math.log(n) / 4.0)

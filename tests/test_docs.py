@@ -2,9 +2,12 @@
 and every cross-reference in the package's docstrings names an object."""
 
 import ast
+import contextlib
 import importlib
+import io
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +16,7 @@ from types import SimpleNamespace
 import pytest
 
 import brownmin
+from brownmin import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -24,6 +28,24 @@ def test_readme_python_example_runs():
     assert blocks
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
+
+
+def test_readme_shell_examples_parse():
+    # every brownmin command in the README's plain code blocks, with its
+    # continuation lines joined and its comment dropped, is a valid call
+    blocks = re.findall(r"^```(\w*)\n(.*?)^```", (ROOT / "README.md").read_text(), re.S | re.M)
+    shell = "".join(text for lang, text in blocks if not lang).replace("\\\n", " ")
+    commands = [shlex.split(line, comments=True)[1:] for line in shell.splitlines()
+                if line.startswith("brownmin ")]
+    assert len(commands) == 4
+    parser = cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
+    suggest = next(argv for argv in commands if argv[0] == "suggest-lambda")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(suggest) == 0
+    assert out.getvalue() == "720\n"
 
 
 # runs a demo with every warning raised from package code an error, as

@@ -1,4 +1,6 @@
 import concurrent.futures
+import csv
+import io
 import math
 import tracemalloc
 from dataclasses import replace
@@ -591,3 +593,20 @@ def test_errors_csv(tmp_path):
     assert lines[2] == "equidistant,,2,16,10,0.25,0.002,1"
     write_errors_csv(estimates, tmp_path / "again.csv")
     assert (tmp_path / "again.csv").read_text() == out.read_text()
+    # floats whose formatting is easy to get wrong: the bytes are those
+    # of csv.writer with each field formatted on its own
+    estimates += [
+        ErrorEstimate(ADAPTIVE, 5e-324, math.nan, 2, 1, math.inf, -0.0, 3),
+        ErrorEstimate(EQUIDISTANT, None, math.inf, 1, 7, -0.0, math.nan, 0),
+        ErrorEstimate(ADAPTIVE, 1e308, 2.5, 512, 4, 5e-324, -math.inf, 1),
+    ]
+    write_errors_csv(estimates, out)
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(lines[0].split(","))
+    for est in estimates:
+        writer.writerow([est.algorithm, "" if est.lam is None else f"{est.lam:.17g}",
+                         f"{est.p:.17g}", str(est.n), str(est.replications),
+                         f"{est.lp_error:.17g}", f"{est.std_pth_power:.17g}",
+                         str(est.dropped)])
+    assert out.read_bytes() == expected.getvalue().encode()

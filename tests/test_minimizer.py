@@ -3,6 +3,7 @@ import copy
 import csv
 import io
 import math
+import re
 import warnings
 from array import array
 from fractions import Fraction
@@ -528,6 +529,36 @@ def test_a_non_finite_split_is_recorded_before_the_refusal():
             step(state, oracle, config)
     assert skel.n == n + 1
     assert DyadicPoint(3, 2) in skel.sites and np.isnan(skel.values).sum() == 1
+
+
+@pytest.mark.parametrize("value, message", [
+    (math.inf, "scaled increment inf of the split of gap 3 at n=4"),
+    (math.nan, "split score nan of gap 3 at n=4")], ids=["inf", "nan"])
+def test_a_refused_non_finite_split_finishes_the_state(value, message):
+    # the step that adds the site 3/4 records its value and refuses it;
+    # the state is then finished: a further step or check raises
+    # ValueError and adds no site
+    def path(t):
+        return value if t == 0.75 else 0.3 * t
+
+    oracle = DeterministicOracle(path)
+    config = MinimizerConfig(lam=1.0, max_steps=40)
+    state, _ = init_state(oracle, config)
+    with pytest.raises(FloatingPointError, match=re.escape(message)):
+        while True:
+            step(state, oracle, config)
+    skel = state.skeleton
+    assert skel.n == 4 and DyadicPoint(3, 2) in skel.sites and np.isfinite(skel.values).sum() == 4
+    for _ in range(3):
+        with pytest.raises(ValueError, match="ended at a non-finite split"):
+            step(state, oracle, config)
+        assert skel.n == 4
+    with pytest.raises(ValueError, match="ended at a non-finite split"):
+        check_score_bound(state, config)
+    assert skel.n == 4
+    # run refuses the same split with the same message
+    with pytest.raises(FloatingPointError, match=re.escape(message)):
+        run(DeterministicOracle(path), config)
 
 
 @pytest.mark.parametrize("site, value, n", [
