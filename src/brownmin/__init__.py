@@ -27,7 +27,6 @@ from .harness import (
     EQUIDISTANT,
     ErrorEstimate,
     ExperimentPlan,
-    equidistant_error,
     estimate_lp_error,
     fit_rate,
     lambda_suggestion,
@@ -87,7 +86,6 @@ __all__ = [
     "bridge_min_cdf",
     "bridge_min_sample",
     "check_score_bound",
-    "equidistant_error",
     "estimate_lp_error",
     "fit_rate",
     "grid_reference_min",

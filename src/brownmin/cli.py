@@ -28,7 +28,7 @@ from .minimizer import write_trace_csv
 
 
 def _parse_list(text: str, kind) -> list:
-    return [kind(x) for x in text.split(",") if x.strip()]
+    return [kind(x) for x in text.split(",")]
 
 
 def _worker_count(text: str) -> int:

@@ -3,13 +3,15 @@
 Sites are binary rationals k/2^m in [0, 1], kept in exact integer form so
 that midpoints, gap lengths and the smallest gap are computed without any
 floating point error.  Floats are a derived view used for function values
-and output only.
+and output only.  A site handed out is a frozen ``DyadicPoint`` value; the
+skeleton itself keeps sites as plain integers.
 """
 
 from __future__ import annotations
 
 import operator
 from array import array
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,15 +35,19 @@ class DepthExceededError(RuntimeError):
     """Raised when a midpoint would exceed the configured bisection depth."""
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class DyadicPoint:
     """A number numerator / 2**level in [0, 1], stored canonically.
 
     Canonical means the numerator is odd, except for the endpoints 0/2^0
     and 1/2^0.  Construction reduces trailing zero bits automatically.
-    Both arguments must be integers: a float raises TypeError.
+    Both arguments must be integers: a float raises TypeError.  A point
+    is a frozen value: it compares and hashes as (numerator, level), and
+    it pickles and copies as one.
     """
 
-    __slots__ = ("numerator", "level")
+    numerator: int
+    level: int
 
     def __init__(self, numerator: int, level: int):
         numerator, level = operator.index(numerator), operator.index(level)
@@ -56,13 +62,8 @@ class DyadicPoint:
         # strip every trailing zero bit in one shift, at most level of them
         # since numerator <= 2^level; zero becomes 0/2^0
         shift = (numerator & -numerator).bit_length() - 1 if numerator else level
-        numerator >>= shift
-        level -= shift
-        object.__setattr__(self, "numerator", numerator)
-        object.__setattr__(self, "level", level)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DyadicPoint is immutable")
+        object.__setattr__(self, "numerator", numerator >> shift)
+        object.__setattr__(self, "level", level - shift)
 
     def __float__(self) -> float:
         # int true division is correctly rounded, hence exact for level <= 52
@@ -74,14 +75,6 @@ class DyadicPoint:
 
     def __str__(self) -> str:
         return f"{self.numerator}/2^{self.level}"
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DyadicPoint):
-            return NotImplemented
-        return self.numerator == other.numerator and self.level == other.level
-
-    def __hash__(self) -> int:
-        return hash((self.numerator, self.level))
 
 
 ZERO = DyadicPoint(0, 0)
@@ -137,16 +130,16 @@ class Skeleton:
     its length and midpoint spread are read from ``GAP_LENGTH`` and
     ``MIDPOINT_SD``.  Each site is stored once, in a table in evaluation
     order that holds its canonical numerator (a Python int) and its level
-    (an int16 array), and each gap holds the id of its left-end site in
-    that table; the left numerator k of a gap at its level L is that
-    site's numerator shifted left by L minus the site's level.  Splitting
+    (an int16 array), and each site in site order holds its id in that
+    table; the left numerator k of gap j at its level L is the numerator
+    of site j - 1 shifted left by L minus that site's level.  Splitting
     gap j puts the new site (2k+1)/2^(L+1) at index j without any search.
     The site with id k is the k-th evaluation, so ids 0 and 1 are the
     sites 0 and 1.  A DyadicPoint is built only when a site is asked for.
     The smallest value and the smallest gap are computed on demand, O(n);
     a search keeps its own running copies of them.
 
-    Values, levels and left-end ids are ``array.array`` buffers holding
+    Values, gap levels and site ids are ``array.array`` buffers holding
     exactly their entries: a split is one ``insert`` (a single memmove)
     per buffer and one append per site table column, and an indexed read
     gives a Python float or int.  The numpy properties return copies, so
@@ -154,12 +147,12 @@ class Skeleton:
     exported, a split raises BufferError.
     """
 
-    __slots__ = ("_values", "_gap_levels", "_gap_left", "_site_nums", "_site_levels")
+    __slots__ = ("_values", "_gap_levels", "_site_ids", "_site_nums", "_site_levels")
 
     def __init__(self):
         self._values = array("d", [0.0])
         self._gap_levels = array("h")
-        self._gap_left = array("i")  # per gap in site order, its left end's site id
+        self._site_ids = array("i", [0])  # per site in site order, its table id
         # the site table: every site once, in evaluation order, canonical
         self._site_nums = [0]
         self._site_levels = array("h", [0])
@@ -188,14 +181,9 @@ class Skeleton:
 
     def site(self, i: int) -> DyadicPoint:
         """The i-th site in increasing order (0-based)."""
-        count = len(self._values)
-        if not 0 <= i < count:
+        if not 0 <= i < len(self._values):
             raise IndexError(f"site index {i} out of range")
-        if i == 0:
-            return ZERO
-        if i == count - 1:
-            return ONE
-        site = self._gap_left[i]
+        site = self._site_ids[i]
         return _canonical(self._site_nums[site], self._site_levels[site])
 
     @property
@@ -225,7 +213,7 @@ class Skeleton:
         # k = left.numerator << (L - left.level); its midpoint is
         # (2k+1)/2^level, canonical because odd
         level = self._gap_levels[j - 1] + 1
-        left = self._gap_left[j - 1]
+        left = self._site_ids[j - 1]
         return _canonical(
             (self._site_nums[left] << (level - self._site_levels[left])) | 1, level)
 
@@ -245,7 +233,7 @@ class Skeleton:
         value = float(value)
         self._values.append(value)
         self._gap_levels.append(0)
-        self._gap_left.append(0)
+        self._site_ids.append(1)
         self._site_nums.append(1)
         self._site_levels.append(0)
         return 1
@@ -267,7 +255,7 @@ class Skeleton:
         levels.insert(j, level)
         nums = self._site_nums
         site_levels = self._site_levels
-        left = self._gap_left[g]
-        self._gap_left.insert(j, len(nums))
+        left = self._site_ids[g]
+        self._site_ids.insert(j, len(nums))
         nums.append((nums[left] << (level - site_levels[left])) | 1)
         site_levels.append(level)

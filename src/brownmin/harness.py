@@ -82,6 +82,8 @@ class ExperimentPlan:
             raise ValueError("adaptive plan needs at least one lambda")
         if not all(math.isfinite(l) and l >= 1.0 for l in self.lambdas):
             raise ValueError(f"all lambdas must be finite and >= 1, got {self.lambdas}")
+        if len(set(self.lambdas)) != len(self.lambdas):
+            raise ValueError(f"lambdas must not repeat, got {self.lambdas}")
         if self.replications < 1:
             raise ValueError("need at least one replication")
         if not (math.isfinite(self.p) and self.p >= 1.0):
@@ -181,21 +183,6 @@ def run_replications(plan: ExperimentPlan, lam: float, replications) -> np.ndarr
     return deltas
 
 
-def equidistant_error(increments: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Error of the equidistant rule given its raw draws (pure core).
-
-    ``increments`` and ``uniforms`` hold the n draws of one replication
-    along their last axis, with one replication per row of any leading
-    axes; returns one error per replication (a NumPy scalar for one).
-    """
-    increments = np.asarray(increments, dtype=float)
-    n = increments.shape[-1]
-    values = np.zeros(increments.shape[:-1] + (n + 1,))
-    np.cumsum(increments, axis=-1, out=values[..., 1:])
-    true_min = segment_minima(values, np.full(n, 1.0 / n), uniforms).min(axis=-1)
-    return values.min(axis=-1) - true_min
-
-
 def run_equidistant(plan: ExperimentPlan, n: int, replication: int) -> float:
     """Error of one equidistant replication at a fixed grid size n.
 
@@ -224,8 +211,14 @@ def run_equidistant_replications(plan: ExperimentPlan, replications) -> np.ndarr
                         for r in replications]).reshape(-1, n_max)
     uniforms = np.array([true_min_stream(plan, EQUIDISTANT, r).uniform_open_closed(n_max)
                          for r in replications]).reshape(-1, n_max)
-    return np.stack([equidistant_error(normals[:, :n] * math.sqrt(1.0 / n), uniforms[:, :n])
-                     for n in plan.n_grid], axis=-1)
+    errors = []
+    for n in plan.n_grid:
+        # W at i/n for i = 0..n, the running sum of N(0, 1/n) increments
+        values = np.zeros((len(normals), n + 1))
+        np.cumsum(normals[:, :n] * math.sqrt(1.0 / n), axis=1, out=values[:, 1:])
+        true_min = segment_minima(values, np.full(n, 1.0 / n), uniforms[:, :n]).min(axis=1)
+        errors.append(values.min(axis=1) - true_min)
+    return np.stack(errors, axis=1)
 
 
 def estimate_lp_error(deltas: np.ndarray, p: float) -> tuple[float, float]:

@@ -189,10 +189,14 @@ def _with(argv, flag, value):
     ["suggest-lambda", "--r", "1e308", "--p", "1e308"],  # lambda overflows
     EXPERIMENT + ["--threads", "0"],
     EXPERIMENT + ["--threads", "-1"],
+    _with(EXPERIMENT, "--lambdas", "1,1"),
+    _with(EXPERIMENT, "--lambdas", "1,,4"),
+    _with(EXPERIMENT, "--n-grid", "4,8,"),
 ], ids=["simulate-lambda-nan", "simulate-lambda-inf", "lambdas-nan", "lambdas-not-a-number",
         "p-inf", "p-nan", "negative-seed", "simulate-level-cap-0", "simulate-level-cap-1",
         "experiment-level-cap-1", "simulate-level-cap-1024", "suggest-r-nan", "suggest-p-inf",
-        "suggest-overflow", "threads-0", "threads-negative"])
+        "suggest-overflow", "threads-0", "threads-negative", "lambdas-repeated",
+        "lambdas-empty-entry", "n-grid-empty-entry"])
 def test_invalid_input_is_a_usage_error(argv, tmp_path):
     out = tmp_path / "x.csv"
     if argv[0] != "suggest-lambda":

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import tracemalloc
 from fractions import Fraction
 
@@ -126,9 +128,38 @@ def test_range_check_does_not_build_the_power_of_two():
 
 def test_points_are_immutable():
     point = DyadicPoint(3, 2)
-    with pytest.raises(AttributeError, match="immutable"):
+    with pytest.raises(AttributeError, match="cannot assign to field 'level'"):
         point.level = 3
     assert (point.numerator, point.level) == (3, 2)
+
+
+def test_a_point_keeps_its_fields():
+    # a deleted field would leave a point that can no longer be compared
+    point = DyadicPoint(3, 2)
+    with pytest.raises(AttributeError):
+        del point.numerator
+    assert point == DyadicPoint(3, 2)
+    assert hash(point) == hash((3, 2))
+
+
+def _pickled(obj):
+    clones = [pickle.loads(pickle.dumps(obj, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    assert all(clone == clones[0] for clone in clones)
+    return clones[0]
+
+
+@pytest.mark.parametrize("copier", [_pickled, copy.copy, copy.deepcopy],
+                         ids=["pickle", "copy", "deepcopy"])
+def test_points_pickle_and_copy_as_values(copier):
+    skel = _build(0.4, [(1, -0.2), (2, 0.3), (1, -0.5)])
+    for point in (DyadicPoint(3, 2), ZERO, DyadicPoint(1, MAX_LEVEL_CAP)):
+        clone = copier(point)
+        assert type(clone) is DyadicPoint
+        assert clone == point and hash(clone) == hash(point)
+        assert repr(clone) == repr(point)
+    sites = skel.sites
+    assert copier(sites) == sites
 
 
 def test_float_conversion_exact_below_53_bits():
@@ -182,6 +213,7 @@ def test_a_fresh_skeleton_has_no_smallest_gap():
 
 def test_skeleton_insert_returns_index():
     skel = Skeleton()
+    assert skel.site(0) == ZERO
     assert skel.insert(1.0) == 1
     assert skel.site(1) == ONE
     # a split puts the midpoint of gap j at index j

@@ -16,7 +16,6 @@ from brownmin.harness import (
     EQUIDISTANT,
     ErrorEstimate,
     ExperimentPlan,
-    equidistant_error,
     estimate_lp_error,
     fit_rate,
     lambda_suggestion,
@@ -59,6 +58,8 @@ def test_plan_validation():
         small_plan(algorithm="bogus")
     with pytest.raises(ValueError):
         small_plan(lambdas=())
+    with pytest.raises(ValueError, match="repeat"):
+        small_plan(lambdas=(1.0, 1.0))
     for bad in ({"lambdas": (math.nan,)}, {"lambdas": (1.0, math.inf)},
                 {"p": math.inf}, {"p": math.nan}, {"level_cap": 1},
                 {"master_seed": -1}):
@@ -166,12 +167,6 @@ def test_algorithms_use_distinct_stream_namespaces():
     a = path_stream(plan, ADAPTIVE, 0).gaussians(4)
     b = path_stream(plan, EQUIDISTANT, 0).gaussians(4)
     assert not np.array_equal(a, b)
-
-
-def test_equidistant_error_core_example():
-    # n = 1 with W(1) = 0 and uniform e^-2: delta = 0 - (-1) = 1
-    delta = equidistant_error(np.array([0.0]), np.array([math.exp(-2.0)]))
-    assert delta == pytest.approx(1.0, rel=1e-14)
 
 
 def test_run_equidistant_contract():

@@ -3,6 +3,7 @@ import copy
 import csv
 import io
 import math
+import pickle
 import re
 import warnings
 from array import array
@@ -415,7 +416,7 @@ def test_search_grows_the_skeleton_as_skeleton_split_does(make, lam):
         replayed.split(row.split_index, row.value)
     assert replayed.values.tobytes() == searched.values.tobytes()
     assert np.array_equal(replayed.gap_levels, searched.gap_levels)
-    assert replayed._gap_left == searched._gap_left
+    assert replayed._site_ids == searched._site_ids
     assert replayed._site_nums == searched._site_nums
     assert replayed._site_levels == searched._site_levels
     assert _bits(replayed.min_value) == _bits(searched.min_value)
@@ -472,6 +473,19 @@ def test_trace_reads_as_a_sequence_of_rows():
     # a trace equals only a trace, not even the list of its own rows
     assert (trace == rows) is False and trace != rows
     assert trace != "not a trace"
+
+
+@pytest.mark.parametrize("copier", [
+    lambda obj: pickle.loads(pickle.dumps(obj)), copy.copy, copy.deepcopy,
+], ids=["pickle", "copy", "deepcopy"])
+def test_trace_rows_pickle_and_copy(copier):
+    # a row's site is a DyadicPoint, so rows travel as plain values
+    _, trace = run(BrownianOracle(RngStream(82, 0)), MinimizerConfig(lam=1.0, max_steps=40))
+    rows = list(trace)
+    row = copier(trace[5])
+    assert type(row) is StepTrace and row == rows[5]
+    assert type(row.site) is DyadicPoint
+    assert copier(rows) == rows
 
 
 def test_traces_differing_in_one_recorded_entry_are_unequal():
