@@ -8,17 +8,13 @@ diagnostic cross-checks the search at every step: whenever the observed
 increments stay moderate, the largest split score obeys an a priori bound.
 """
 from brownmin import (
-    ZERO,
     BrownianOracle,
     DepthExceededError,
-    DyadicPoint,
     MinimizerConfig,
     RngStream,
     Skeleton,
     check_score_bound,
     init_state,
-    midpoint,
-    run,
     step,
 )
 
@@ -38,9 +34,15 @@ print(f"  its midpoint {skel.gap_midpoint(2)} and length 2^-{skel.tau_level} are
 
 print()
 print("=== The depth cap fails loudly instead of underflowing ===")
+# halve the leftmost gap down to the deepest supported level, 1023, where
+# 1/tau = 2^1023 is still a finite double: the next split is refused
+skel = Skeleton()
+skel.insert(0.0)
 try:
-    midpoint(ZERO, DyadicPoint(1, 1000))
+    while True:
+        skel.split(1, 0.0)
 except DepthExceededError as exc:
+    print(f"  after {skel.n - 1} nested splits, down to [0, {skel.site(1)}]:")
     print(f"  DepthExceededError: {exc}")
 
 print()

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_LEVEL_CAP = 1000
-# deepest supported gap level: the search offset needs 1/tau = 2^level
-# as a finite double
+# deepest supported gap level: the score bound needs 1/tau = 2^level as
+# a finite double
 MAX_LEVEL_CAP = 1023
 
 # geometry of a gap of level L, for every supported L: its exact length

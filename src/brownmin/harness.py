@@ -21,13 +21,13 @@ searches an adaptive block in lockstep with
 :func:`~brownmin.minimizer.search_block` and draws the true minima of all
 its rows in one call; :func:`run_equidistant_replications` computes an
 equidistant block's cumulative sums, discrete minima and bridge minima per
-grid size over one (rows, n) array.  Both return a (rows, n grid) array of
-errors, with a NaN row for a replication that exceeded the depth cap, and
-one loop aggregates the columns of either.  A block stacks one row per
-replication, drawn from that replication's :func:`path_stream` and
-:func:`true_min_stream`, so a block reproduces :func:`run_replication` and
-:func:`run_equidistant` bit for bit, and the output bytes depend on
-neither the block size nor the worker count.
+grid size over one (rows, n) array.  Both draw one row per replication
+from its :func:`path_stream` and :func:`true_min_stream` by one recipe,
+so a block reproduces :func:`run_replication` and :func:`run_equidistant`
+bit for bit, and the output bytes depend on neither the block size nor
+the worker count.  Both return a (rows, n grid) array of errors, with a
+NaN row for a replication that exceeded the depth cap, blanked after the
+search, and one loop aggregates the columns of either.
 """
 
 from __future__ import annotations
@@ -71,6 +71,8 @@ class ExperimentPlan:
     level_cap: int = DEFAULT_LEVEL_CAP
 
     def __post_init__(self):
+        if isinstance(self.lambdas, str):  # would run one lambda per character
+            raise TypeError(f"lambdas must be a sequence of numbers, got {self.lambdas!r}")
         object.__setattr__(self, "lambdas", tuple(float(l) for l in self.lambdas))
         # operator.index refuses floats such as 16.9 instead of truncating
         object.__setattr__(self, "n_grid", tuple(operator.index(n) for n in self.n_grid))
@@ -121,6 +123,18 @@ def true_min_stream(plan: ExperimentPlan, algorithm: str, replication: int) -> R
     return RngStream(plan.master_seed, _NS[algorithm], replication, _ROLE_TRUE_MIN)
 
 
+def _draws(plan: ExperimentPlan, algorithm: str, replications) -> tuple[np.ndarray, np.ndarray]:
+    # a row per replication: max(n_grid) normals of its path stream and as
+    # many uniforms of its true-minimum stream; reshape shapes an empty block
+    replications = list(replications)
+    n_max = max(plan.n_grid)
+    normals = np.array([path_stream(plan, algorithm, r).gaussians(n_max)
+                        for r in replications]).reshape(-1, n_max)
+    uniforms = np.array([true_min_stream(plan, algorithm, r).uniform_open_closed(n_max)
+                         for r in replications]).reshape(-1, n_max)
+    return normals, uniforms
+
+
 def sample_true_min(skeleton: Skeleton, stream: RngStream) -> float:
     """Exact conditional draw of the true minimum given a skeleton.
 
@@ -160,26 +174,15 @@ def run_replications(plan: ExperimentPlan, lam: float, replications) -> np.ndarr
     Returns one row of errors per replication and one column per n in the
     grid.  Row k equals ``run_replication(plan, lam, replications[k])``
     bit for bit, or is NaN when that replication exceeds the level cap
-    (where run_replication raises DepthExceededError).  Each row takes the
-    first max(n_grid) normals of its path stream, the ones the oracle
-    draws, and one uniform per final gap of its true-minimum stream, the
-    ones sample_true_min draws.
+    (where run_replication raises DepthExceededError).  Rows are drawn as
+    an equidistant block's are, the uniforms as sample_true_min draws
+    them, one per final gap; a capped row is blanked after the search.
     """
-    replications = list(replications)
-    n_max = max(plan.n_grid)
-    # reshape gives a block of no rows the shape (0, n_max)
-    normals = np.array([path_stream(plan, ADAPTIVE, r).gaussians(n_max)
-                        for r in replications]).reshape(-1, n_max)
+    normals, uniforms = _draws(plan, ADAPTIVE, replications)
     block = search_block(normals, lam, plan.level_cap)
-    # a capped row is dropped and draws nothing
-    kept = np.flatnonzero(~block.capped)
-    uniforms = np.array([true_min_stream(plan, ADAPTIVE, replications[row])
-                         .uniform_open_closed(n_max) for row in kept]).reshape(-1, n_max)
-    true_min = segment_minima(block.values[kept], block.lengths[kept], uniforms).min(axis=1)
-    # the grid columns first: the kept rows of the whole history are a copy
-    m_n = block.m_n[:, np.array(plan.n_grid) - 2]
-    deltas = np.full(m_n.shape, math.nan)
-    deltas[kept] = m_n[kept] - true_min[:, None]
+    true_min = segment_minima(block.values, block.lengths, uniforms).min(axis=1)
+    deltas = block.m_n[:, np.array(plan.n_grid) - 2] - true_min[:, None]
+    deltas[block.capped] = math.nan
     return deltas
 
 
@@ -205,12 +208,7 @@ def run_equidistant_replications(plan: ExperimentPlan, replications) -> np.ndarr
     draws for size n are the first n of those, so a row's errors depend
     on neither the block around it nor the rest of the grid.
     """
-    replications = list(replications)
-    n_max = max(plan.n_grid)
-    normals = np.array([path_stream(plan, EQUIDISTANT, r).gaussians(n_max)
-                        for r in replications]).reshape(-1, n_max)
-    uniforms = np.array([true_min_stream(plan, EQUIDISTANT, r).uniform_open_closed(n_max)
-                         for r in replications]).reshape(-1, n_max)
+    normals, uniforms = _draws(plan, EQUIDISTANT, replications)
     errors = []
     for n in plan.n_grid:
         # W at i/n for i = 0..n, the running sum of N(0, 1/n) increments
@@ -222,7 +220,7 @@ def run_equidistant_replications(plan: ExperimentPlan, replications) -> np.ndarr
 
 
 def estimate_lp_error(deltas: np.ndarray, p: float) -> tuple[float, float]:
-    """(mean |delta|^p)^(1/p) and the sample std of |delta|^p.
+    """(mean |delta|^p)^(1/p) and the sample std of |delta|^p, deltas 1-D.
 
     Where the mean of the p-th powers is not a positive, normal, finite
     float (small errors at large p underflow), the L_p error is computed
@@ -234,8 +232,8 @@ def estimate_lp_error(deltas: np.ndarray, p: float) -> tuple[float, float]:
     that product is printed as the subnormal or 0 it rounds to.
     """
     deltas = np.asarray(deltas, dtype=float)
-    if len(deltas) == 0:
-        raise ValueError("no error samples")
+    if deltas.ndim != 1 or len(deltas) == 0:
+        raise ValueError(f"need a 1-D array of error samples, got shape {deltas.shape}")
     if not (math.isfinite(p) and p >= 1.0):
         raise ValueError(f"p must be finite and >= 1, got {p}")
     sizes = np.abs(deltas)

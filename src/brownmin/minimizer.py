@@ -93,14 +93,14 @@ from .oracle import PathOracle
 def search_offset(x: float, lam: float) -> float:
     """Offset sqrt(lam * x * ln(1/x)) controlling the depth of the search.
 
-    Defined for x in (0, 1] and lam >= 1; zero at x = 1 and decreasing to
-    zero as x -> 0.
+    Defined for every x in (0, 1], subnormal x included, and lam >= 1;
+    zero at x = 1 and decreasing to zero as x -> 0.
     """
     if not 0.0 < x <= 1.0:
         raise ValueError(f"offset argument must be in (0, 1], got {x}")
     if not (math.isfinite(lam) and lam >= 1.0):
         raise ValueError(f"lam must be finite and >= 1, got {lam}")
-    return math.sqrt(lam * x * math.log(1.0 / x))
+    return math.sqrt(lam * x * -math.log(x))
 
 
 @functools.lru_cache(maxsize=16)

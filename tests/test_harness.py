@@ -76,6 +76,12 @@ def test_plan_validation():
     assert type(plan.replications) is int
 
 
+def test_plan_refuses_a_string_of_lambdas():
+    # "12" iterated as the characters "1" and "2" and ran lambda 1 and 2
+    with pytest.raises(TypeError):
+        small_plan(lambdas="12")
+
+
 def test_single_segment_inverse_cdf_example():
     # flat skeleton (0,0),(1,0): u = e^-2 maps to a true minimum of -1
     minima = segment_minima([0.0, 0.0], [1.0], [math.exp(-2.0)])
@@ -316,6 +322,13 @@ def test_estimate_lp_error_examples():
     for bad_p in (0.5, math.inf, math.nan):
         with pytest.raises(ValueError):
             estimate_lp_error(np.array([0.1]), bad_p)
+
+
+def test_estimate_lp_error_refuses_deltas_that_are_not_one_dimensional():
+    # a (1, 3) array gave std 0: len counted one row, the means ran over all
+    for deltas in (np.array([[0.1, 0.2, 0.3]]), np.array(0.1), np.zeros((2, 2))):
+        with pytest.raises(ValueError, match="1-D"):
+            estimate_lp_error(deltas, 2.0)
 
 
 def test_estimate_lp_error_scales_powers_that_underflow_or_overflow():

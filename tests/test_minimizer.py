@@ -58,6 +58,14 @@ def test_search_offset_examples():
     assert search_offset(0.25, 1.0) == pytest.approx(search_offset(0.5, 1.0), rel=1e-15)
 
 
+def test_search_offset_of_subnormal_gap_lengths():
+    # 1 / x overflows for x below 2^-1022, which made every such offset inf
+    for x in (2.0**-1024, 1e-310, 5e-324):
+        off = search_offset(x, 1.0)
+        assert math.isfinite(off) and off == math.sqrt(x * -math.log(x))
+    assert search_offset(5e-324, 1.0) == pytest.approx(6.06e-161, rel=1e-3)
+
+
 def test_search_offset_domain():
     for bad_x in (0.0, -0.5, 1.1):
         with pytest.raises(ValueError):
