@@ -12,6 +12,8 @@ Exit codes: 0 success, 2 usage error, 3 runtime error.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 
 from .dyadic import DEFAULT_LEVEL_CAP, DepthExceededError
@@ -78,6 +80,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(path: str) -> None:
+    # refuse an output path that the final write could not open before any
+    # computation, with the OSError that open() would raise; creates nothing
+    directory = os.path.dirname(path) or os.curdir
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not (path and os.path.isdir(directory)):
+        code = errno.ENOENT
+    elif not os.access(directory, os.W_OK | os.X_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
+
+
 def _simulate(args, parser) -> int:
     # replication 0 of a plan that checks every input of the search
     try:
@@ -87,6 +104,7 @@ def _simulate(args, parser) -> int:
         )
     except ValueError as exc:
         parser.error(str(exc))
+    _check_out(args.out)
     trace, true_min = _replicate(plan, args.lam, 0)
     write_trace_csv(trace, args.out, deltas=trace.m_n - true_min)
     return 0
@@ -103,6 +121,7 @@ def _estimate(args, parser, algorithms) -> int:
         ) for algorithm in algorithms]
     except ValueError as exc:
         parser.error(str(exc))
+    _check_out(args.out)
     write_errors_csv(run_experiments(plans, workers=args.threads), args.out)
     return 0
 

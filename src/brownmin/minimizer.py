@@ -28,16 +28,18 @@ argmax returns the first NaN, so checking the chosen score covers the
 whole array.  Gaps beside an infinite value score 0, so a step refuses
 an infinite scaled increment the same way.
 
-The per-path search is one loop, which :func:`step` runs for one split
-and :func:`run` for all the rest.  It keeps the scores and the state's
-M_n, tau level and running scaled increment in locals, asks the oracle
-for each midpoint value and records it with ``Skeleton.split``: two
-Python-level calls per split, and no site object or trace row built on
-the way.  For :func:`run` it appends each state's new value, largest
-score and split gap to three ``array.array`` columns, which
-:class:`Trace` turns into rows in O(1) each: M_n is the running minimum
-of the values, the tau level the running maximum of the new sites'
-levels, and state n's site has id n in the skeleton's site table.
+The per-path search is one loop, a generator that the state keeps
+suspended between steps: :func:`step` resumes it for one split and
+:func:`run` drives it to the end, so a step pays for no set-up.  It
+keeps the scores and the state's M_n, tau level and running scaled
+increment in locals, writes them to the state after every resume, asks
+the oracle for each midpoint value and records it with
+``Skeleton.split``: two Python-level calls per split, and no site object
+or trace row built on the way.  For :func:`run` it appends each state's
+new value, largest score and split gap to three ``array.array`` columns,
+which :class:`Trace` turns into rows in O(1) each: M_n is the running
+minimum of the values, the tau level the running maximum of the new
+sites' levels, and state n's site has id n in the skeleton's site table.
 Traces compare by these columns and :func:`write_trace_csv` formats them
 directly.
 
@@ -71,9 +73,11 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate
+from math import inf, isfinite
 from typing import NamedTuple
 
 import numpy as np
+from numpy import frombuffer
 
 from .dyadic import (
     DEFAULT_LEVEL_CAP,
@@ -168,10 +172,16 @@ class MinimizerState:
     then add sites to its skeleton.  A step that raises FloatingPointError
     finishes the state: only its skeleton, which holds the refused value,
     is meaningful, and every later step raises ValueError.
+
+    The fields are outputs.  The search loop keeps its own copies and
+    writes them after every step; between steps the state holds that loop
+    suspended, with the oracle and config it was primed for.  The loop is
+    not part of the state's value: a pickled or copied state leaves it
+    out and primes its own from the fields on its first step.
     """
 
     __slots__ = ("skeleton", "m_n", "tau_level", "max_scaled_increment", "next_split",
-                 "rho_max", "_scores", "_lam", "_shift", "_n")
+                 "rho_max", "_scores", "_lam", "_shift", "_n", "_loop", "_oracle", "_config")
 
     def __init__(self, skeleton: Skeleton):
         if skeleton.n != 1:
@@ -187,10 +197,20 @@ class MinimizerState:
         self._lam = math.nan  # lam and M_n - off behind the current scores
         self._shift = math.nan
         self._n = skeleton.n
+        self._loop = None  # the suspended search loop and the objects it was primed for
+        self._oracle = None
+        self._config = None
+
+    def __getstate__(self):
+        # the suspended loop is not part of the value: a copy or an
+        # unpickled state primes its own loop on its first step
+        fields = {name: getattr(self, name) for name in MinimizerState.__slots__}
+        fields.update(_loop=None, _oracle=None, _config=None)
+        return None, fields
 
     @property
     def n(self) -> int:
-        return self.skeleton.n
+        return len(self.skeleton._values) - 1
 
     @property
     def scores(self) -> np.ndarray:
@@ -244,21 +264,35 @@ def init_state(oracle: PathOracle, config: MinimizerConfig) -> tuple[MinimizerSt
 def step(state: MinimizerState, oracle: PathOracle, config: MinimizerConfig) -> StepTrace:
     """Split the highest-scoring gap at its midpoint and evaluate there.
 
-    One pass of the search loop that :func:`run` runs to the end, so a
-    state stepped to n equals the state run to n bit for bit.  A split
-    deeper than the level cap raises DepthExceededError and leaves the
-    state, its skeleton and the oracle as they were; a non-finite score
-    or increment raises FloatingPointError once the value is recorded
-    and finishes the state.  The row's site is read from the skeleton's
-    site table by its id n.
+    Resumes the state's suspended search loop for one split, the loop that
+    :func:`run` drives to the end, so a state stepped to n equals the
+    state run to n bit for bit.  The state's fields are outputs, written
+    after the split, and the suspended loop is not part of the state's
+    value: a step with another oracle or config object than the last, or
+    after a step that raised, primes a new loop from those fields.  A
+    split deeper than the level cap raises DepthExceededError and leaves
+    the state, its skeleton and the oracle as they were; a non-finite
+    score or increment raises FloatingPointError once the value is
+    recorded and finishes the state.  The row's site is read from the
+    skeleton's site table by its id n.
     """
     j = state.next_split
-    _search(state, oracle, config, state._n + 1)
+    loop = state._loop
+    if loop is None or oracle is not state._oracle or config is not state._config:
+        loop = state._loop = _search(oracle, config)
+        state._oracle = oracle
+        state._config = config
+        next(loop)
+    try:
+        loop.send((state, state._n + 1, None, None, None))
+    except BaseException:
+        state._loop = None  # the exception ended the loop
+        raise
     skel = state.skeleton
     n, rho_max = state._n, state.rho_max
-    return StepTrace(n, j, _canonical(skel._site_nums[n], skel._site_levels[n]),
-                     skel._values[j], state.m_n, state.tau_level, rho_max,
-                     math.exp(-2.0 / rho_max))
+    return tuple.__new__(StepTrace, (n, j, _canonical(skel._site_nums[n], skel._site_levels[n]),
+                                     skel._values[j], state.m_n, state.tau_level, rho_max,
+                                     math.exp(-2.0 / rho_max)))
 
 
 def run(oracle: PathOracle, config: MinimizerConfig) -> tuple[MinimizerState, Trace]:
@@ -268,100 +302,107 @@ def run(oracle: PathOracle, config: MinimizerConfig) -> tuple[MinimizerState, Tr
     state, first = init_state(oracle, config)
     columns = (array("d", [first.value]), array("d", [first.rho_max]),
                array("i", [first.split_index]))
-    _search(state, oracle, config, config.max_steps, *columns)
+    state._loop.send((state, config.max_steps, *columns))  # primed by init_state's step
     return state, Trace(state.skeleton, *columns)
 
 
-def _search(state: MinimizerState, oracle: PathOracle, config: MinimizerConfig, stop: int,
-            values: array | None = None, rhos: array | None = None,
-            splits: array | None = None) -> None:
-    # The search loop behind step and run: split until the state holds
-    # ``stop`` evaluations, appending each new state's value, largest score
-    # and split gap to ``values``, ``rhos`` and ``splits`` when given.  The
-    # scores and the state's M_n, tau level and increment sit in locals.
-    # A split asks oracle.midpoint for the value and records it with
-    # Skeleton.split, the one writer of a skeleton.  With M_n, tau and lam
-    # unchanged it scores the two halves of the split gap; otherwise it
-    # stores M_n and tau in the state and split_scores, looked up at call
-    # time, rescores every gap.  The state's n is written after the loop,
-    # so a split refused once recorded leaves n behind the skeleton.
+def _search(oracle: PathOracle, config: MinimizerConfig):
+    # The search loop behind step and run, a generator that a state keeps
+    # suspended between steps.  Each resume sends (state, stop, values,
+    # rhos, splits): split until the state holds ``stop`` evaluations,
+    # appending each new state's value, largest score and split gap to
+    # the three columns when given, write n, the next split, rho_max and
+    # the increment to the state, and drop the state before yielding, so
+    # that the two make no reference cycle.  The first resume reads the
+    # state's fields into locals; every resume checks that the skeleton
+    # holds exactly n values.  A split asks oracle.midpoint for the value
+    # and records it with Skeleton.split, the one writer of a skeleton.
+    # With M_n, tau and lam unchanged it scores the two halves of the
+    # split gap; otherwise it stores M_n and tau in the state and
+    # split_scores, looked up at call time, rescores every gap.  An
+    # exception ends the loop before n is written, so a split refused
+    # once recorded leaves n behind the skeleton.  The loop reads
+    # frombuffer, inf and isfinite as globals, faster than attributes.
+    state, stop, values, rhos, splits = yield
     skel = state.skeleton
-    vals = skel._values
-    n = state._n
-    if oracle.skeleton is not skel or len(vals) - 1 != n:
+    if oracle.skeleton is not skel:
         raise ValueError("the state ended at a non-finite split or was changed outside step")
+    vals = skel._values
+    levels = skel._gap_levels
+    n = state._n
     lam = config.lam
     cap = config.level_cap
-    levels = skel._gap_levels
-    frombuffer = np.frombuffer
-    isfinite = math.isfinite
-    inf = math.inf
-    lengths = _GAP_LENGTHS
-    spreads = _MIDPOINT_SDS  # sqrt(2^-L) / 2, so sqrt(2^-L) is exactly twice it
     scores = state._scores
     shift = state._shift
     stale = lam != state._lam
     m = state.m_n
     tau = state.tau_level
-    increment_start = increment_max = float(state.max_scaled_increment)
+    increment_max = float(state.max_scaled_increment)
     j = state.next_split
     rho = state.rho_max
-    while n < stop:
-        g = j - 1
-        level = levels[g] + 1
-        if level > cap:
-            raise DepthExceededError(
-                f"midpoint of ({skel.site(g)}, {skel.site(j)}) needs level {level} "
-                f"> cap {cap}"
-            )
-        a = vals[g]
-        b = vals[j]
-        value = oracle.midpoint(j)
-        skel.split(j, value)
-        n += 1
-        half = lengths[level]
-        # max(|value - a|, |b - value|) / sqrt(half), without the calls
-        rise = value - a
-        if rise < 0.0:
-            rise = -rise
-        fall = b - value
-        if fall < 0.0:
-            fall = -fall
-        increment = (fall if fall > rise else rise) / (2.0 * spreads[level])
-        if increment > increment_max:
-            increment_max = increment
-        if value < m or level > tau or stale:
-            if value < m:
-                m = value
-            if level > tau:
-                tau = level
-            state.m_n = m
-            state.tau_level = tau
-            scores = state._scores = array("d", split_scores(state, lam).tobytes())
-            shift = state._shift = m - _offset_table(lam)[tau]
-            state._lam = lam
-            stale = False
-        else:
-            scores[g] = half / ((a - shift) * (value - shift))  # _score
-            scores.insert(j, half / ((value - shift) * (b - shift)))
+    while True:
+        if len(vals) - 1 != n:
+            raise ValueError("the state ended at a non-finite split or was changed outside step")
+        increment_start = increment_max
+        while n < stop:
+            g = j - 1
+            level = levels[g] + 1
+            if level > cap:
+                raise DepthExceededError(
+                    f"midpoint of ({skel.site(g)}, {skel.site(j)}) needs level {level} "
+                    f"> cap {cap}"
+                )
+            a = vals[g]
+            b = vals[j]
+            value = oracle.midpoint(j)
+            skel.split(j, value)
+            n += 1
+            half = _GAP_LENGTHS[level]
+            # max(|value - a|, |b - value|) / sqrt(half), without the calls;
+            # sqrt(half) is exactly twice the midpoint spread sqrt(half) / 2
+            rise = value - a
+            if rise < 0.0:
+                rise = -rise
+            fall = b - value
+            if fall < 0.0:
+                fall = -fall
+            increment = (fall if fall > rise else rise) / (2.0 * _MIDPOINT_SDS[level])
+            if increment > increment_max:
+                increment_max = increment
+            if value < m or level > tau or stale:
+                if value < m:
+                    m = value
+                if level > tau:
+                    tau = level
+                state.m_n = m
+                state.tau_level = tau
+                scores = state._scores = array("d", split_scores(state, lam).tobytes())
+                shift = state._shift = m - _offset_table(lam)[tau]
+                state._lam = lam
+                stale = False
+            else:
+                scores[g] = half / ((a - shift) * (value - shift))  # _score
+                scores.insert(j, half / ((value - shift) * (b - shift)))
 
-        best = int(frombuffer(scores).argmax())
-        top = scores[best]
-        if increment == inf:  # an infinite value scores 0 or NaN beside it
-            raise FloatingPointError(f"scaled increment inf of the split of gap {j} at n={n}")
-        if not isfinite(top):
-            raise FloatingPointError(f"split score {top!r} of gap {best + 1} at n={n}")
-        if values is not None:
-            values.append(value)
-            rhos.append(top)
-            splits.append(j)  # the gap this pass split
-        j = best + 1
-        rho = top
-    state._n = n
-    state.next_split = j
-    state.rho_max = rho
-    if increment_max != increment_start:  # a NumPy float64, as documented
-        state.max_scaled_increment = np.float64(increment_max)
+            best = int(frombuffer(scores).argmax())
+            top = scores[best]
+            if increment == inf:  # an infinite value scores 0 or NaN beside it
+                raise FloatingPointError(f"scaled increment inf of the split of gap {j} at n={n}")
+            if not isfinite(top):
+                raise FloatingPointError(f"split score {top!r} of gap {best + 1} at n={n}")
+            if values is not None:
+                values.append(value)
+                rhos.append(top)
+                splits.append(j)  # the gap this pass split
+            j = best + 1
+            rho = top
+        state._n = n
+        state.next_split = j
+        state.rho_max = rho
+        if increment_max != increment_start:  # a NumPy float64, as documented
+            state.max_scaled_increment = np.float64(increment_max)
+        state = values = rhos = splits = None
+        state, stop, values, rhos, splits = yield
 
 
 class Trace(Sequence):
@@ -404,9 +445,10 @@ class Trace(Sequence):
             return [self[k] for k in range(*i.indices(len(self)))]
         i = range(len(self._values))[i]
         rho = self._rhos[i]
-        return StepTrace(i + 2, self._splits[i], _canonical(self._nums[i], self._levels[i]),
-                         self._values[i], self._m_n[i], self._taus[i], rho,
-                         math.exp(-2.0 / rho))
+        return tuple.__new__(StepTrace, (i + 2, self._splits[i],
+                                         _canonical(self._nums[i], self._levels[i]),
+                                         self._values[i], self._m_n[i], self._taus[i], rho,
+                                         math.exp(-2.0 / rho)))
 
     def __eq__(self, other) -> bool:
         # the recorded columns, the sites and the columns derived from them
@@ -591,17 +633,27 @@ def check_score_bound(state: MinimizerState, config: MinimizerConfig) -> ScoreBo
         raise ValueError("the state ended at a non-finite split or was changed outside step")
     if n < 2:
         raise ValueError("score bound check needs n >= 2")
-    increment_bound = math.sqrt(config.lam * math.log(n) / 4.0)
-    score_bound = 2.0 / (config.lam * math.log(1.0 / _GAP_LENGTHS[state.tau_level]))
+    lam = config.lam
+    increment_bound = math.sqrt(lam * math.log(n) / 4.0)
+    score_bound = _score_bound_table(lam)[state.tau_level]
     rho_max = state.rho_max
-    applicable = bool(state.max_scaled_increment <= increment_bound)
+    increment = state.max_scaled_increment
+    applicable = bool(increment <= increment_bound)
     if applicable and rho_max > score_bound:
         raise RuntimeError(
             f"score bound violated at n={n}: rho_max={rho_max!r} > {score_bound!r} "
-            f"while increments {state.max_scaled_increment!r} <= {increment_bound!r}"
+            f"while increments {increment!r} <= {increment_bound!r}"
         )
-    return ScoreBoundCheck(n, state.max_scaled_increment, increment_bound, rho_max,
-                           score_bound, applicable)
+    return tuple.__new__(ScoreBoundCheck, (n, increment, increment_bound, rho_max, score_bound,
+                                           applicable))
+
+
+@functools.lru_cache(maxsize=16)
+def _score_bound_table(lam: float) -> tuple[float, ...]:
+    # the score bound 2 / (lam ln(1/tau)) at every level, as Python
+    # floats; level 0 (tau = 1, where the bound is infinite) is never read,
+    # since the check needs n >= 2
+    return (math.inf, *(2.0 / (lam * math.log(1.0 / x)) for x in _GAP_LENGTHS[1:]))
 
 
 def write_trace_csv(trace: Trace, path, deltas: np.ndarray | None = None) -> None:

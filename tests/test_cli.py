@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from brownmin import harness
+from brownmin import cli, harness
 from brownmin.cli import main
 from brownmin.oracle import DeterministicOracle
 
@@ -217,6 +217,28 @@ def test_unwritable_output_is_a_runtime_error(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("brownmin: ") and err.count("\n") == 1
     assert str(out) in err
+
+
+@pytest.mark.parametrize("argv", [
+    SIMULATE,
+    ["experiment", "--lambdas", "1", "--p", "2", "--reps", "3", "--n-grid", "4", "--seed", "1"],
+    ["compare", "--lambdas", "1", "--p", "2", "--reps", "2", "--n-grid", "4,8", "--seed", "9"],
+], ids=["simulate", "experiment", "compare"])
+def test_an_unusable_output_is_refused_before_computing(argv, monkeypatch, tmp_path, capsys):
+    # a missing directory or a directory as --out exits 3 with open()'s
+    # message before any replication runs, and creates no file
+    def compute(*args, **kwargs):
+        raise AssertionError("computed before the output path was checked")
+
+    monkeypatch.setattr(cli, "run_experiments", compute)
+    monkeypatch.setattr(cli, "_replicate", compute)
+    for out, message in ((tmp_path / "missing" / "x.csv", "No such file or directory"),
+                         (tmp_path, "Is a directory")):
+        assert main(argv + ["--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("brownmin: [Errno ") and err.count("\n") == 1
+        assert message in err and str(out) in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_non_finite_score_is_a_runtime_error(monkeypatch, tmp_path, capsys):

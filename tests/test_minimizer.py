@@ -1,6 +1,7 @@
 import bisect
 import copy
 import csv
+import gc
 import io
 import math
 import pickle
@@ -536,6 +537,71 @@ def test_refused_split_leaves_the_state_as_it_was():
     fresh_state, fresh = run(BrownianOracle(RngStream(83, 0)), config)
     assert list(fresh) == rows
     assert _state_bits(state) == _state_bits(fresh_state)
+
+
+def test_a_stepped_state_pickles_and_copies_and_its_copies_step_on():
+    # the suspended search loop is not part of a state's value: after 40
+    # steps the (state, oracle) pair pickles and deep-copies, each copy
+    # primes its own loop, and all three step on to the same rows and bits
+    config = MinimizerConfig(lam=1.0, max_steps=300)
+    oracle = BrownianOracle(RngStream(86, 0), capacity=8)
+    state, _ = init_state(oracle, config)
+    for _ in range(40):
+        step(state, oracle, config)
+    pairs = [(state, oracle), pickle.loads(pickle.dumps((state, oracle))),
+             copy.deepcopy((state, oracle))]
+    rows = [[[_bits(x) for x in step(s, o, config)] for _ in range(200)] for s, o in pairs]
+    assert rows[1] == rows[0] and rows[2] == rows[0]
+    assert _state_bits(pairs[1][0]) == _state_bits(state) == _state_bits(pairs[2][0])
+    assert state.n == 242
+
+
+def test_interleaved_steps_equal_straight_runs():
+    # two states stepped alternately, and one state stepped under two equal
+    # but distinct config objects in turn (each step primes a new loop),
+    # all equal their straight run row for row and bit for bit
+    config = MinimizerConfig(lam=1.0, max_steps=600)
+    twin = MinimizerConfig(lam=1.0, max_steps=600)
+    streams = [(87, 0), (87, 1), (87, 2)]
+    paths = []
+    for key in streams:
+        oracle = BrownianOracle(RngStream(*key))
+        state, first = init_state(oracle, config)
+        paths.append((state, oracle, [first]))
+    for k in range(config.max_steps - 2):
+        for state, oracle, rows in paths[:2]:
+            rows.append(step(state, oracle, config))
+        state, oracle, rows = paths[2]
+        rows.append(step(state, oracle, (twin, config)[k % 2]))
+    for key, (state, _, rows) in zip(streams, paths):
+        run_state, trace = run(BrownianOracle(RngStream(*key)), config)
+        assert [[_bits(x) for x in row] for row in rows] == \
+            [[_bits(x) for x in row] for row in trace], key
+        assert _state_bits(state) == _state_bits(run_state), key
+
+
+def test_a_stepped_state_is_freed_without_the_cycle_collector():
+    # the suspended loop drops the state before it yields, so a state
+    # and its loop make no reference cycle: with the cycle collector off,
+    # stepped and run states are freed by reference counting alone
+    def states_alive():
+        return sum(type(obj) is MinimizerState for obj in gc.get_objects())
+
+    config = MinimizerConfig(lam=2.0, max_steps=100)
+    gc.collect()
+    gc.disable()
+    try:
+        alive = states_alive()
+        for k in range(5):
+            oracle = BrownianOracle(RngStream(88, k))
+            state, _ = init_state(oracle, config)
+            for _ in range(50):
+                step(state, oracle, config)
+            run(BrownianOracle(RngStream(89, k)), config)
+        del state, oracle
+        assert states_alive() == alive
+    finally:
+        gc.enable()
 
 
 def test_a_non_finite_split_is_recorded_before_the_refusal():
